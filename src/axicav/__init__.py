@@ -61,7 +61,6 @@ from .analytic import (
     AnalyticMode,
     MatchReport,
     bessel_j,
-    bessel_j_prime,
     bessel_prime_zero,
     bessel_zero,
     estimate_match_tol,

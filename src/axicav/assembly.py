@@ -137,10 +137,6 @@ def apply_constraints(K_full, M_full, constrained, n_h1: int | None = None):
     return K, M, free, full_to_free
 
 
-def _zeros_like_field(shape_scalar, tail):
-    return np.zeros((1, 1, 1) + tail)
-
-
 def assemble(problem: ModeProblem, pair: FeSpacePair, chunk: int = 256) -> AssembledPencil:
     """Assemble and reduce the pencil for the given mode problem."""
     mesh = problem.mesh

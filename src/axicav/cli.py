@@ -73,10 +73,13 @@ def _run_study(kind: str, config_path: str) -> int:
         for label, flag in stable.items():
             print(f"{label}: degree-stable {flag}")
     elif kind == "alphabeta":
-        rows, slopes, classification = run_alphabeta_scan(cfg)
+        rows, slopes, classification, expected = run_alphabeta_scan(cfg)
         for (a, b), slope in slopes.items():
             tag = "full-rate" if classification[(a, b)] else "reduced-rate"
             print(f"TC({a:g},{b:g}): slope {slope:.3f} [{tag}]")
+            if classification[(a, b)] != expected[(a, b)]:
+                want = "full-rate" if expected[(a, b)] else "reduced-rate"
+                print(f"NOTE: TC({a:g},{b:g}) is {want} in the parameter table")
         gate_ok = _gate_slopes(
             cfg, {f"TC({a:g},{b:g})": s for (a, b), s in slopes.items()}
         )

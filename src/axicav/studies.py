@@ -448,12 +448,11 @@ def run_quadrature_sweep(cfg: StudyConfig):
 def _first_modes(R: float, L: float, n: int, count: int):
     """At least `count` lowest analytic modes of the n-th block."""
     lam_max = (math.pi / min(R, L)) ** 2 * 4
-    for _ in range(12):
-        modes = pillbox_spectrum(R, L, n, lam_max)
-        if len(modes) >= count:
-            return modes
+    modes = pillbox_spectrum(R, L, n, lam_max)
+    while len(modes) < count:
         lam_max *= 2
-    raise ConfigError("analytic window exceeds the tabulated Bessel-zero range")
+        modes = pillbox_spectrum(R, L, n, lam_max)
+    return modes
 
 
 def run_spurious_scan(cfg: StudyConfig):

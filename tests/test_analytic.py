@@ -14,6 +14,7 @@ from axicav.analytic import (
     match_spectra,
     pillbox_spectrum,
 )
+from axicav.studies import _first_modes
 
 
 def test_j0_at_origin():
@@ -36,19 +37,19 @@ def test_bessel_values_against_mpmath(m):
         )
 
 
-def test_bessel_out_of_range():
+def test_bessel_zero_index_checks():
     with pytest.raises(ValueError):
-        bessel_j(11, 1.0)
+        bessel_zero(-1, 1)
     with pytest.raises(ValueError):
-        bessel_j(1, -0.5)
+        bessel_zero(0, 0)
     with pytest.raises(ValueError):
-        bessel_zero(6, 1)
+        bessel_prime_zero(-1, 1)
     with pytest.raises(ValueError):
-        bessel_prime_zero(1, 6)
+        bessel_prime_zero(1, 0)
 
 
-@pytest.mark.parametrize("m", range(0, 6))
-@pytest.mark.parametrize("nu", range(1, 6))
+@pytest.mark.parametrize("m", range(0, 11))
+@pytest.mark.parametrize("nu", range(1, 11))
 def test_zeros_against_mpmath(m, nu):
     assert bessel_zero(m, nu) == pytest.approx(
         float(mpmath.besseljzero(m, nu)), abs=1e-12
@@ -58,6 +59,16 @@ def test_zeros_against_mpmath(m, nu):
     assert bessel_prime_zero(m, nu) == pytest.approx(
         float(mpmath.besseljzero(m, nu + shift, derivative=1)), abs=1e-12
     )
+
+
+def test_high_order_and_wide_windows():
+    # |n| > 5 and windows past the fifth radial zero
+    modes = pillbox_spectrum(1.0, 1.0, 7, 400.0)
+    assert modes and all(md.m == 7 for md in modes)
+    assert max(md.nu for md in modes) >= 2
+    first = _first_modes(1.0, 1.0, 2, 30)
+    assert len(first) >= 30
+    assert [md.omega for md in first] == sorted(md.omega for md in first)
 
 
 def test_zero_interlacing():

@@ -72,6 +72,19 @@ def test_spurious_run(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_alphabeta_run(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    cfg = tmp_path / "ab.cfg"
+    cfg.write_text(
+        "study = alphabeta\ntransforms = TC(1,1)\nn = 1\nq = 2\np = 1\n"
+        "mesh_ladder = 2,4\nquad_degree = auto\ntarget = TE,1,1,1\n"
+        f"output = {out}\n"
+    )
+    assert main(["alphabeta", "--config", str(cfg)]) == 0
+    assert "TC(1,1): slope" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     from axicav import cli
     from axicav.eigen import EigenSolverError

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from axicav.assembly import AssembledPencil, assemble
-from axicav.eigen import filter_kernel, solve, solve_window
+from axicav.eigen import EigenSolverError, filter_kernel, solve, solve_window
 from axicav.fespace import build_pair
 from axicav.formulation import ModeProblem, Transformation
 from axicav.mesh import build_structured
@@ -130,6 +130,41 @@ def test_sparse_path_matches_dense(coupled_pencil):
     assert np.allclose(sparse_spec.eigenvalues, dense.eigenvalues[:5], rtol=1e-9)
     assert np.allclose(win.eigenvalues, dense.eigenvalues[:5], rtol=1e-9)
     assert sparse_spec.method == "shift-invert"
+
+
+def test_sparse_residual_failure_is_immediate(coupled_pencil, monkeypatch):
+    import axicav.eigen as eigen_mod
+
+    calls = []
+    real_eigsh = eigen_mod.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(kwargs.get("ncv"))
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
+    monkeypatch.setattr(eigen_mod, "RESIDUAL_TOL", 1e-30)
+    monkeypatch.setattr(eigen_mod, "eigsh", counting_eigsh)
+    with pytest.raises(EigenSolverError, match="sigma="):
+        solve(coupled_pencil, k=5, hint=10.0)
+    assert len(calls) == 1
+
+
+def test_refinement_lowers_residual(coupled_pencil):
+    from axicav.eigen import _factorize, _refine, _residuals
+
+    dense = solve(coupled_pencil)
+    vals, vecs = dense.eigenvalues[:3], dense.eigenvectors[:, :3]
+    # Lanczos errors live mostly along the high end of the spectrum
+    high = dense.eigenvectors[:, -10:]
+    noisy = vecs + 1e-6 * high @ np.random.default_rng(3).standard_normal((10, 3))
+    K, M = coupled_pencil.K, coupled_pencil.M
+    before = _residuals(K, M, vals, noisy)
+    lu = _factorize(coupled_pencil, 0.5 * float(vals[0]))
+    ref_vals, ref_vecs = _refine(coupled_pencil, lu, noisy)
+    after = _residuals(K, M, ref_vals, ref_vecs)
+    assert after.max() < 1e-2 * before.max()
+    assert np.allclose(ref_vals, vals, rtol=1e-10)
 
 
 def test_window_solve_dense(coupled_pencil):
