@@ -1,11 +1,13 @@
 """Assembly of the global symmetric stiffness/mass pencil K x = lambda M x.
 
-Element contributions are evaluated with a shared quadrature rule and the
-compositional integrands from the formulation module, vectorized over
-element chunks.  Essential conditions (axis conditions of the chosen
-transformation plus the perfectly conducting walls) are applied by
-symmetric elimination of rows and columns, so the reduced pencil stays
-symmetric with M positive definite.
+The pair's local basis (scalar then vector functions) is mapped to
+physical fields and their weighted curl once per chunk of congruent
+elements, and each element matrix is one batched Gram product of those
+tables under the quadrature, material and r weights.  Essential
+conditions (axis conditions of the chosen transformation plus the
+perfectly conducting walls) are applied by symmetric elimination of rows
+and columns, so the reduced pencil stays symmetric with M positive
+definite.
 
 Element order is fixed, which makes assembled matrices bit-stable from run
 to run.
@@ -13,13 +15,15 @@ to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import sparse
 
 from .fespace import FeSpacePair
-from .formulation import ModeProblem, axis_conditions, curl_n, transformed_to_physical
+from .formulation import (
+    ModeProblem, TransformedValues, axis_conditions, curl_n, transformed_to_physical,
+)
 from .mesh import BoundaryTag
 from .quadrature import rule_for_degree
 
@@ -48,8 +52,6 @@ class AssembledPencil:
     full_to_free: np.ndarray
     constrained: np.ndarray
     n_free_h1: int
-    K_unconstrained: sparse.csr_matrix | None = None
-    M_unconstrained: sparse.csr_matrix | None = None
 
     @property
     def n_free(self) -> int:
@@ -112,7 +114,7 @@ def collect_constraints(problem: ModeProblem, pair: FeSpacePair) -> np.ndarray:
     return np.unique(np.concatenate(dofs))
 
 
-def apply_constraints(K_full, M_full, constrained, n_h1: int | None = None):
+def apply_constraints(K_full, M_full, constrained):
     """Eliminate constrained dofs (homogeneous conditions) symmetrically.
 
     Returns (K, M, free_to_full, full_to_free).  Raises on duplicate or
@@ -137,8 +139,20 @@ def apply_constraints(K_full, M_full, constrained, n_h1: int | None = None):
     return K, M, free, full_to_free
 
 
-def assemble(problem: ModeProblem, pair: FeSpacePair, chunk: int = 256) -> AssembledPencil:
-    """Assemble and reduce the pencil for the given mode problem."""
+_CHUNK = 256  # elements per vectorized batch; bounds the per-chunk tables
+
+
+def _gram(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Symmetrized element matrices A^T (w A): A is (ne, ncomp, nq, nloc),
+    w is (ne, ncomp, nq), and the sum runs over (component x point)."""
+    ne, nloc = A.shape[0], A.shape[-1]
+    A = A.reshape(ne, -1, nloc)
+    G = A.transpose(0, 2, 1) @ (w.reshape(ne, -1, 1) * A)
+    return 0.5 * (G + G.transpose(0, 2, 1))
+
+
+def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
+    """Unconstrained stiffness and mass matrices (K_full, M_full) in CSR."""
     mesh = problem.mesh
     tr, n = problem.transformation, problem.n
     rule = rule_for_degree(problem.quad_degree)
@@ -159,62 +173,32 @@ def assemble(problem: ModeProblem, pair: FeSpacePair, chunk: int = 256) -> Assem
     combo = h1_class.astype(np.int64) * (hc_class.max() + 1) + hc_class
     rows_all, cols_all, kvals_all, mvals_all = [], [], [], []
 
-    zero_u = np.zeros((1, 1, 1))
-    zero_du = np.zeros((1, 1, 1, 2))
-    zero_d2u = np.zeros((1, 1, 1, 3))
-    zero_U = np.zeros((1, 1, 1, 2))
-    zero_dU = np.zeros((1, 1, 1, 2, 2))
-
     for key in np.unique(combo):
         els = np.nonzero(combo == key)[0]
         t0 = els[0]
-        h1_elem = pair.h1._elements[h1_class[t0]]
-        hc_elem = pair.hcurl._elements[hc_class[t0]]
         offs = pair.h1._offsets[t0]
-        uval, ugrad, uhess = h1_elem.eval_bary(bary, offs, nderiv=2)
-        Uval, Ujac = hc_elem.eval_bary(bary, offs, deriv=True)
+        # Local basis of the pair: scalar functions (zero vector part), then
+        # vector functions (zero scalar part), the combined_cell_dofs order.
+        s = TransformedValues.scalar(
+            *pair.h1._elements[h1_class[t0]].eval_bary(bary, offs, nderiv=2))
+        v = TransformedValues.vector(
+            *pair.hcurl._elements[hc_class[t0]].eval_bary(bary, offs, deriv=True))
+        local = [np.concatenate([getattr(s, f.name), getattr(v, f.name)], axis=1)[None]
+                 for f in fields(TransformedValues)]
 
-        for start in range(0, len(els), chunk):
-            ids = els[start : start + chunk]
-            ne = len(ids)
+        for start in range(0, len(els), _CHUNK):
+            ids = els[start : start + _CHUNK]
             r_eq = np.einsum("qk,ek->eq", bary, verts[ids, :, 0])[:, :, None]
-
-            bu = transformed_to_physical(
-                tr, n, r_eq, uval[None], ugrad[None], uhess[None], zero_U, zero_dU
-            )
-            bU = transformed_to_physical(
-                tr, n, r_eq, zero_u, zero_du, zero_d2u, Uval[None], Ujac[None]
-            )
-
-            def cat(fu, fU):
-                fu = np.broadcast_to(fu, (ne, len(wq), uval.shape[1]))
-                fU = np.broadcast_to(fU, (ne, len(wq), Uval.shape[1]))
-                return np.concatenate([fu, fU], axis=2)
-
-            e_phi = cat(bu.e_phi, bU.e_phi)
-            e_r = cat(bu.e_r, bU.e_r)
-            e_z = cat(bu.e_z, bU.e_z)
-            w_r = cat(bu.drephi_dr, bU.drephi_dr)
-            w_z = cat(bu.drephi_dz, bU.drephi_dz)
-            der_dz = cat(bu.der_dz, bU.der_dz)
-            dez_dr = cat(bu.dez_dr, bU.dez_dr)
-
-            r2 = r_eq[:, :, 0][:, :, None]
-            c = curl_n(n, r2, e_r, e_phi, e_z, der_dz, dez_dr, w_r, w_z)
+            b = transformed_to_physical(tr, n, r_eq, *local)
+            c = curl_n(n, r_eq, b.e_r, b.e_phi, b.e_z, b.der_dz, b.dez_dr,
+                       b.drephi_dr, b.drephi_dz)
+            # fields that do not depend on r (shape (1, nq, nloc), e.g. TB at
+            # n = 0) broadcast to the chunk
+            e = np.stack([np.broadcast_to(f, c.shape[:-1]) for f in (b.e_r, b.e_phi, b.e_z)], 1)
 
             w_el = dets[ids][:, None] * wq[None, :] * r_eq[:, :, 0]  # (ne, nq)
-            K_el = np.zeros((ne, nloc, nloc))
-            M_el = np.zeros((ne, nloc, nloc))
-            for comp in range(3):
-                K_el += np.einsum(
-                    "eq,eqi,eqj->eij", w_el * inv_mu[ids, comp : comp + 1], c[..., comp], c[..., comp]
-                )
-            for comp, fld in enumerate((e_r, e_phi, e_z)):
-                M_el += np.einsum(
-                    "eq,eqi,eqj->eij", w_el * eps[ids, comp : comp + 1], fld, fld
-                )
-            K_el = 0.5 * (K_el + K_el.transpose(0, 2, 1))
-            M_el = 0.5 * (M_el + M_el.transpose(0, 2, 1))
+            K_el = _gram(np.moveaxis(c, -1, 1), inv_mu[ids][:, :, None] * w_el[:, None, :])
+            M_el = _gram(e, eps[ids][:, :, None] * w_el[:, None, :])
 
             dofs = cell_dofs[ids]
             rows_all.append(np.repeat(dofs, nloc, axis=1).ravel())
@@ -222,28 +206,28 @@ def assemble(problem: ModeProblem, pair: FeSpacePair, chunk: int = 256) -> Assem
             kvals_all.append(K_el.ravel())
             mvals_all.append(M_el.ravel())
 
-    rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
-    K_full = sparse.coo_matrix(
-        (np.concatenate(kvals_all), (rows, cols)), shape=(ndof, ndof)
-    ).tocsr()
-    M_full = sparse.coo_matrix(
-        (np.concatenate(mvals_all), (rows, cols)), shape=(ndof, ndof)
-    ).tocsr()
+    ij = (np.concatenate(rows_all), np.concatenate(cols_all))
 
+    def csr(vals):
+        return sparse.coo_matrix((np.concatenate(vals), ij), shape=(ndof, ndof)).tocsr()
+
+    return csr(kvals_all), csr(mvals_all)
+
+
+def assemble(problem: ModeProblem, pair: FeSpacePair) -> AssembledPencil:
+    """Assemble and reduce the pencil for the given mode problem."""
+    K_full, M_full = _assemble_full(problem, pair)
     constrained = collect_constraints(problem, pair)
     K, M, free, full_to_free = apply_constraints(K_full, M_full, constrained)
     return AssembledPencil(
         K=K,
         M=M,
-        ndof_full=ndof,
+        ndof_full=pair.n_total,
         n_h1=pair.n_h1,
         free_to_full=free,
         full_to_free=full_to_free,
         constrained=constrained,
         n_free_h1=int(np.sum(free < pair.n_h1)),
-        K_unconstrained=K_full,
-        M_unconstrained=M_full,
     )
 
 

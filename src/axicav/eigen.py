@@ -88,14 +88,17 @@ def _check_residuals(K, M, vals, vecs, method):
     return res
 
 
-def _dense_all(pencil):
-    Kd = pencil.K.toarray()
-    Md = pencil.M.toarray()
+def _dense_solve(pencil, select) -> Spectrum:
+    """Full dense spectrum, kernel-filtered; keeps the eigenpairs at the
+    indices select(vals, kernel) returns."""
     try:
-        vals, vecs = eigh(Kd, Md, driver="gvd")
+        vals, vecs = eigh(pencil.K.toarray(), pencil.M.toarray(), driver="gvd")
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"dense factorization failed: {exc}") from exc
-    return vals, vecs
+    kernel, tau = filter_kernel(vals)
+    idx = select(vals, kernel)
+    res = _check_residuals(pencil.K, pencil.M, vals[idx], vecs[:, idx], "dense")
+    return Spectrum(vals[idx], vecs[:, idx], int(kernel.sum()), tau, res, "dense")
 
 
 def _gershgorin_shift(pencil) -> float:
@@ -194,15 +197,7 @@ def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
             raise EigenSolverError(
                 f"full-spectrum solve requested for dimension {n} > {DENSE_DIM}"
             )
-        vals, vecs = _dense_all(pencil)
-        kernel, tau = filter_kernel(vals)
-        keep = ~kernel
-        if k is not None:
-            idx = np.nonzero(keep)[0][:k]
-        else:
-            idx = np.nonzero(keep)[0]
-        res = _check_residuals(pencil.K, pencil.M, vals[idx], vecs[:, idx], "dense")
-        return Spectrum(vals[idx], vecs[:, idx], int(kernel.sum()), tau, res, "dense")
+        return _dense_solve(pencil, lambda vals, kernel: np.nonzero(~kernel)[0][:k])
 
     sigma = 0.5 * hint if hint is not None else _gershgorin_shift(pencil)
     sigma *= 1.0000037  # avoid landing exactly on an eigenvalue
@@ -236,11 +231,9 @@ def solve_window(pencil, lam_hi: float, lam_lo_guard: float, expect: int) -> Spe
     """
     n = pencil.n_free
     if n <= DENSE_DIM:
-        vals, vecs = _dense_all(pencil)
-        kernel, tau = filter_kernel(vals)
-        idx = np.nonzero(~kernel & (vals <= lam_hi))[0]
-        res = _check_residuals(pencil.K, pencil.M, vals[idx], vecs[:, idx], "dense")
-        return Spectrum(vals[idx], vecs[:, idx], int(kernel.sum()), tau, res, "dense")
+        return _dense_solve(
+            pencil, lambda vals, kernel: np.nonzero(~kernel & (vals <= lam_hi))[0]
+        )
 
     # Shift inside the window: the kernel sits at distance sigma, strictly
     # beyond every window eigenvalue, so nearest-first convergence walks the

@@ -173,6 +173,8 @@ def fit_slope(Ns, errors, points: int = 3) -> float:
     """Least-squares slope of log(error) against log(1/N), last `points` entries."""
     Ns = np.asarray(Ns, dtype=float)[-points:]
     errs = np.asarray(errors, dtype=float)[-points:]
+    if len(Ns) < 2:
+        raise ValueError(f"slope fitting needs at least 2 points, got {len(Ns)}")
     if np.any(errs <= 0):
         raise ValueError("errors must be positive for slope fitting")
     return float(np.polyfit(np.log(1.0 / Ns), np.log(errs), 1)[0])
@@ -269,8 +271,19 @@ def build_study_config(entries: dict) -> StudyConfig:
             raise ConfigError(str(exc)) from exc
 
     mesh_ladder = _parse_int_list(entries.get("mesh_ladder", "4,8,16,32"))
+    if not mesh_ladder:
+        raise ConfigError("mesh_ladder is empty")
+    if min(mesh_ladder) < 1:
+        raise ConfigError(f"mesh_ladder entries must be >= 1, got {min(mesh_ladder)}")
     if any(b <= a for a, b in zip(mesh_ladder, mesh_ladder[1:])):
         raise ConfigError("mesh_ladder must be strictly increasing")
+    if study in ("converge", "alphabeta") and len(mesh_ladder) < 2:
+        raise ConfigError(
+            f"study {study!r} fits a slope and needs at least 2 mesh_ladder entries"
+        )
+    modes = geti("modes", 8)
+    if modes is None or modes < 1:
+        raise ConfigError(f"modes must be a positive integer, got {entries['modes']!r}")
 
     cfg = StudyConfig(
         study=study,
@@ -282,7 +295,7 @@ def build_study_config(entries: dict) -> StudyConfig:
         quad_degree=geti("quad_degree"),
         quad_degrees=_parse_int_list(entries.get("quad_degrees", "")),
         target=target,
-        modes=geti("modes", 8),
+        modes=modes,
         R=getf("R", 1.0),
         L=getf("L", 1.0),
         output=entries.get("output"),
@@ -316,11 +329,14 @@ def _block_for(cfg: StudyConfig) -> str:
     return "h1" if cfg.target.family == "TE" else "hcurl"
 
 
+# pencil block -> block name of polynomial_threshold_degree
+_THRESHOLD_BLOCK = {"h1": "azimuthal", "hcurl": "inplane", "full": "full"}
+
+
 def _quad_degree(cfg: StudyConfig, tr: Transformation, q: int, p: int, block: str) -> int:
     if cfg.quad_degree is not None:
         return cfg.quad_degree
-    blk = {"h1": "azimuthal", "hcurl": "inplane", "full": "full"}[block]
-    th = polynomial_threshold_degree(tr, cfg.n, q, p, block=blk)
+    th = polynomial_threshold_degree(tr, cfg.n, q, p, block=_THRESHOLD_BLOCK[block])
     if th is None:
         raise ConfigError(
             f"{tr.label()} with n={cfg.n} has non-polynomial integrands; "
@@ -430,8 +446,9 @@ def run_quadrature_sweep(cfg: StudyConfig):
                     omega_analytic=omega_t, rel_error=err,
                 )
             )
-        blk = {"h1": "azimuthal", "hcurl": "inplane", "full": "full"}[block]
-        threshold = polynomial_threshold_degree(tr, cfg.n, q, p, block=blk)
+        threshold = polynomial_threshold_degree(
+            tr, cfg.n, q, p, block=_THRESHOLD_BLOCK[block]
+        )
         flag = False
         if threshold is not None:
             shifts = [
@@ -463,7 +480,7 @@ def run_spurious_scan(cfg: StudyConfig):
     window = modes_all[: cfg.modes]
     lam_cut = 0.5 * (modes_all[cfg.modes - 1].lam + modes_all[cfg.modes].lam)
     for tr in cfg.transforms:
-        D = _quad_degree(cfg, tr, q, p, "full") if cfg.quad_degree is None else cfg.quad_degree
+        D = _quad_degree(cfg, tr, q, p, "full")
         for N in cfg.mesh_ladder:
             mesh, pair, pencil = _assemble_pencil(cfg, tr, q, p, N, D, "full")
             spec = solve_window(
@@ -525,7 +542,7 @@ def run_regularity(cfg: StudyConfig):
     rows, exponents = [], {}
     N = cfg.mesh_ladder[-1]
     for tr in cfg.transforms:
-        D = _quad_degree(cfg, tr, q, p, "full") if cfg.quad_degree is None else cfg.quad_degree
+        D = _quad_degree(cfg, tr, q, p, "full")
         omega, omega_t, spec, idx, mesh, pair, pencil = _target_omega(
             cfg, tr, q, p, N, D, "full"
         )

@@ -38,6 +38,15 @@ def test_command_study_mismatch(tmp_path, capsys):
     assert main(["converge", "--config", str(cfg)]) == 2
 
 
+def test_zero_modes_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "study = spurious\ntransforms = TB\nn = 1\nq = 2\nmesh_ladder = 4\nmodes = 0\n"
+        f"output = {tmp_path / 'out.csv'}\n"
+    )
+    assert main(["spurious", "--config", str(cfg)]) == 2
+
+
 def test_converge_run_and_gate(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     cfg = tmp_path / "c.cfg"
@@ -96,6 +105,6 @@ def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
         "study = converge\ntransforms = TB\nn = 1\nq = 2\np = 1\n"
-        "mesh_ladder = 2\nquad_degree = auto\ntarget = TE,1,1,1\noutput = x.csv\n"
+        "mesh_ladder = 2,4\nquad_degree = auto\ntarget = TE,1,1,1\noutput = x.csv\n"
     )
     assert main(["converge", "--config", str(cfg)]) == 3

@@ -142,6 +142,42 @@ def test_mesh_ladder_must_increase():
         )
 
 
+def _entries(study, **kw):
+    base = {"study": study, "transforms": "TC(1,1)", "n": "1", "q": "2",
+            "target": "TE,1,1,1"}
+    base.update(kw)
+    return base
+
+
+@pytest.mark.parametrize(
+    "study,extra",
+    [
+        ("spurious", {"mesh_ladder": ""}),
+        ("spurious", {"mesh_ladder": "0,4"}),
+        ("spurious", {"modes": "0"}),
+        ("spurious", {"modes": "-2"}),
+        ("converge", {"mesh_ladder": "4"}),
+        ("alphabeta", {"mesh_ladder": "4"}),
+    ],
+)
+def test_meaningless_configs_rejected(study, extra):
+    with pytest.raises(ConfigError):
+        build_study_config(_entries(study, **extra))
+
+
+@pytest.mark.parametrize("study", ["quadsweep", "regularity"])
+def test_single_mesh_ladder_valid_without_slope_fit(study):
+    cfg = build_study_config(_entries(study, mesh_ladder="32", quad_degrees="9,15"))
+    assert cfg.mesh_ladder == (32,)
+
+
+def test_fit_slope_needs_two_points():
+    with pytest.raises(ValueError):
+        fit_slope([32], [1e-3])
+    with pytest.raises(ValueError):
+        fit_slope([], [])
+
+
 def test_run_convergence_rows_and_slope():
     cfg = _cfg()
     rows, slopes = run_convergence(cfg)
