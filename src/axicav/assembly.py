@@ -15,15 +15,13 @@ to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .fespace import FeSpacePair
-from .formulation import (
-    ModeProblem, TransformedValues, axis_conditions, curl_n, transformed_to_physical,
-)
+from .formulation import ModeProblem, axis_conditions, curl_of_bundle, transformed_to_physical
 from .mesh import BoundaryTag
 from .quadrature import rule_for_degree
 
@@ -168,30 +166,14 @@ def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
     cell_dofs = pair.combined_cell_dofs()
     nloc = cell_dofs.shape[1]
 
-    h1_class = pair.h1._class_of
-    hc_class = pair.hcurl._class_of
-    combo = h1_class.astype(np.int64) * (hc_class.max() + 1) + hc_class
     rows_all, cols_all, kvals_all, mvals_all = [], [], [], []
 
-    for key in np.unique(combo):
-        els = np.nonzero(combo == key)[0]
-        t0 = els[0]
-        offs = pair.h1._offsets[t0]
-        # Local basis of the pair: scalar functions (zero vector part), then
-        # vector functions (zero scalar part), the combined_cell_dofs order.
-        s = TransformedValues.scalar(
-            *pair.h1._elements[h1_class[t0]].eval_bary(bary, offs, nderiv=2))
-        v = TransformedValues.vector(
-            *pair.hcurl._elements[hc_class[t0]].eval_bary(bary, offs, deriv=True))
-        local = [np.concatenate([getattr(s, f.name), getattr(v, f.name)], axis=1)[None]
-                 for f in fields(TransformedValues)]
-
+    for els, local in pair.local_basis(bary):
         for start in range(0, len(els), _CHUNK):
             ids = els[start : start + _CHUNK]
             r_eq = np.einsum("qk,ek->eq", bary, verts[ids, :, 0])[:, :, None]
-            b = transformed_to_physical(tr, n, r_eq, *local)
-            c = curl_n(n, r_eq, b.e_r, b.e_phi, b.e_z, b.der_dz, b.dez_dr,
-                       b.drephi_dr, b.drephi_dz)
+            b = transformed_to_physical(tr, n, r_eq, local)
+            c = curl_of_bundle(b, n, r_eq)
             # fields that do not depend on r (shape (1, nq, nloc), e.g. TB at
             # n = 0) broadcast to the chunk
             e = np.stack([np.broadcast_to(f, c.shape[:-1]) for f in (b.e_r, b.e_phi, b.e_z)], 1)

@@ -101,15 +101,6 @@ def _dense_solve(pencil, select) -> Spectrum:
     return Spectrum(vals[idx], vecs[:, idx], int(kernel.sum()), tau, res, "dense")
 
 
-def _gershgorin_shift(pencil) -> float:
-    """Fallback shift: half the smallest row-sum bound of the scaled pencil."""
-    mdiag = pencil.M.diagonal()
-    mdiag = np.where(mdiag > 0, mdiag, 1.0)
-    bound = np.asarray(np.abs(pencil.K).sum(axis=1)).ravel() / mdiag
-    sigma = 0.5 * bound.min()
-    return sigma if sigma > 0 else 1.0
-
-
 def _factorize(pencil, sigma: float):
     """Sparse LU of K - sigma M, computed once per sparse solve.
 
@@ -187,38 +178,39 @@ def _refined_spectrum(pencil, lu, vals, vecs, kernel, tau, sigma, k, ncv) -> Spe
 def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
     """Lowest non-kernel eigenpairs of K x = lambda M x.
 
-    k = None computes the full spectrum (dense path only).  hint is an
-    analytic eigenvalue estimate used to place the shift-invert target at
-    0.5 * hint; without it a Gershgorin-style bound supplies a shift.
+    k = None computes the full spectrum (dense path only).  With an
+    analytic eigenvalue estimate hint, both paths return the k lowest
+    eigenpairs above 0.5 * hint, where the shift-invert target sits; a
+    sparse k-solve needs the hint.
     """
     n = pencil.n_free
+    lo = -np.inf if hint is None else 0.5 * hint
     if n <= DENSE_DIM or k is None:
         if n > DENSE_DIM:
             raise EigenSolverError(
                 f"full-spectrum solve requested for dimension {n} > {DENSE_DIM}"
             )
-        return _dense_solve(pencil, lambda vals, kernel: np.nonzero(~kernel)[0][:k])
-
-    sigma = 0.5 * hint if hint is not None else _gershgorin_shift(pencil)
-    sigma *= 1.0000037  # avoid landing exactly on an eigenvalue
-    lu = _factorize(pencil, sigma)
-    k_req = k + 5
-    for _ in range(10):
-        k_req = min(k_req, n - 1)
-        vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LA")
-        kernel, tau = filter_kernel(vals)
-        if (~kernel).sum() < k and k_req < n - 1:
-            k_req = 2 * k_req + 10
-            continue
-        idx = np.nonzero(~kernel)[0][:k]
-        if len(idx) < k:
-            raise EigenSolverError(
-                f"found only {len(idx)} non-kernel eigenvalues (requested {k})"
-            )
-        return _refined_spectrum(
-            pencil, lu, vals[idx], vecs[:, idx], kernel, tau, sigma, k_req, ncv
+        return _dense_solve(
+            pencil, lambda vals, kernel: np.nonzero(~kernel & (vals > lo))[0][:k]
         )
-    raise EigenSolverError("shift-invert solve did not stabilize")
+    if hint is None:
+        raise EigenSolverError(
+            f"sparse solve for k={k} at dimension {n} needs an eigenvalue hint"
+        )
+
+    sigma = lo * 1.0000037  # avoid landing exactly on an eigenvalue
+    lu = _factorize(pencil, sigma)
+    k_req = min(k + 5, n - 1)
+    vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LA")
+    kernel, tau = filter_kernel(vals)
+    idx = np.nonzero(~kernel)[0][:k]
+    if len(idx) < k:
+        raise EigenSolverError(
+            f"found only {len(idx)} non-kernel eigenvalues (requested {k})"
+        )
+    return _refined_spectrum(
+        pencil, lu, vals[idx], vecs[:, idx], kernel, tau, sigma, k_req, ncv
+    )
 
 
 def solve_window(pencil, lam_hi: float, lam_lo_guard: float, expect: int) -> Spectrum:

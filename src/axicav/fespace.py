@@ -21,11 +21,12 @@ meshes down to a handful of distinct element constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import legval
 
+from .formulation import TransformedValues
 from .mesh import CrossSectionMesh, locate_point
 from .quadrature import rule_for_degree
 
@@ -225,8 +226,21 @@ def _edge_flips(mesh: CrossSectionMesh) -> np.ndarray:
     return flips
 
 
+class _Space:
+    """Shared by both spaces: elements grouped by class of one local basis."""
+
+    @property
+    def n_loc(self) -> int:
+        return self.cell_dofs.shape[1]
+
+    def element_groups(self):
+        for c, elem in enumerate(self._elements):
+            ids = np.nonzero(self._class_of == c)[0]
+            yield ids, elem
+
+
 @dataclass(frozen=True)
-class H1Space:
+class H1Space(_Space):
     """Scalar conforming space of order q with lattice-point dofs."""
 
     mesh: CrossSectionMesh
@@ -239,23 +253,6 @@ class H1Space:
     _elements: tuple  # _ScalarElement per class
     _offsets: np.ndarray  # (nt, 3, 2) vertex offsets from centroid
     _centroids: np.ndarray
-
-    @property
-    def n_loc(self) -> int:
-        return self.cell_dofs.shape[1]
-
-    def element_groups(self):
-        for c, elem in enumerate(self._elements):
-            ids = np.nonzero(self._class_of == c)[0]
-            yield ids, elem
-
-    def tabulate(self, bary: np.ndarray, nderiv: int = 2):
-        """Per-class basis tables at barycentric points."""
-        out = []
-        for ids, elem in self.element_groups():
-            offs = self._offsets[ids[0]]
-            out.append((ids, elem.eval_bary(bary, offs, nderiv)))
-        return out
 
     def evaluate(self, coeffs: np.ndarray, points: np.ndarray, nderiv: int = 0):
         """Evaluate the FE function (and derivatives) at physical points."""
@@ -282,7 +279,7 @@ class H1Space:
 
 
 @dataclass(frozen=True)
-class HCurlSpace:
+class HCurlSpace(_Space):
     """Vector conforming space: full [P_p]^2 with tangential continuity."""
 
     mesh: CrossSectionMesh
@@ -294,22 +291,6 @@ class HCurlSpace:
     _elements: tuple
     _offsets: np.ndarray
     _centroids: np.ndarray
-
-    @property
-    def n_loc(self) -> int:
-        return self.cell_dofs.shape[1]
-
-    def element_groups(self):
-        for c, elem in enumerate(self._elements):
-            ids = np.nonzero(self._class_of == c)[0]
-            yield ids, elem
-
-    def tabulate(self, bary: np.ndarray, deriv: bool = True):
-        out = []
-        for ids, elem in self.element_groups():
-            offs = self._offsets[ids[0]]
-            out.append((ids, elem.eval_bary(bary, offs, deriv)))
-        return out
 
     def evaluate(self, coeffs: np.ndarray, points: np.ndarray, deriv: bool = False):
         points = np.atleast_2d(points)
@@ -467,6 +448,26 @@ class FeSpacePair:
     def combined_cell_dofs(self) -> np.ndarray:
         return np.hstack([self.h1.cell_dofs, self.h1.ndof + self.hcurl.cell_dofs])
 
+    def local_basis(self, bary: np.ndarray):
+        """Per class of elements sharing one local basis of the pair, yields
+        (element ids, TransformedValues) at barycentric points.
+
+        The local basis lists the scalar functions (zero vector part), then
+        the vector functions (zero scalar part): the combined_cell_dofs
+        order.  Each table has a leading length-1 axis that broadcasts over
+        the elements of the class.  An H(curl) class (shape plus edge flips)
+        fixes the H1 class, so the classes are those of the H(curl) space.
+        """
+        for ids, vec in self.hcurl.element_groups():
+            t0 = ids[0]
+            offs = self.h1._offsets[t0]
+            s = TransformedValues.scalar(
+                *self.h1._elements[self.h1._class_of[t0]].eval_bary(bary, offs, nderiv=2))
+            v = TransformedValues.vector(*vec.eval_bary(bary, offs, deriv=True))
+            yield ids, TransformedValues(*(
+                np.concatenate([getattr(s, f.name), getattr(v, f.name)], axis=1)[None]
+                for f in fields(TransformedValues)))
+
 
 def build_pair(mesh: CrossSectionMesh, q: int, p: int) -> FeSpacePair:
     return FeSpacePair(h1=build_h1(mesh, q), hcurl=build_hcurl(mesh, p))
@@ -537,23 +538,16 @@ def gradient_inclusion_check(pair: FeSpacePair, degree: int | None = None) -> fl
     Pu = np.zeros((2 * nsamp, pair.hcurl.ndof))
     wts = np.zeros(nsamp)
 
-    grad_of, val_of = {}, {}
-    for ids, (_, grad) in pair.h1.tabulate(bary, nderiv=1):
-        for e in ids:
-            grad_of[e] = grad
-    for ids, (val,) in pair.hcurl.tabulate(bary, deriv=False):
-        for e in ids:
-            val_of[e] = val
-
-    for t in range(mesh.n_triangles):
-        sl = slice(t * nq, (t + 1) * nq)
-        wts[sl] = w * dets[t]
-        g = grad_of[t]  # (nq, nlu, 2)
-        v = val_of[t]  # (nq, nlU, 2)
-        for comp in range(2):
-            rowsl = slice(comp * nsamp + t * nq, comp * nsamp + (t + 1) * nq)
-            Gu[rowsl, :][:, pair.h1.cell_dofs[t]] += g[:, :, comp]
-            Pu[rowsl, :][:, pair.hcurl.cell_dofs[t]] += v[:, :, comp]
+    nlu = pair.h1.n_loc
+    for ids, local in pair.local_basis(bary):
+        g = local.du[0, :, :nlu]  # (nq, nlu, 2)
+        v = local.U[0, :, nlu:]  # (nq, nlU, 2)
+        for t in ids:
+            wts[t * nq : (t + 1) * nq] = w * dets[t]
+            for comp in range(2):
+                rowsl = slice(comp * nsamp + t * nq, comp * nsamp + (t + 1) * nq)
+                Gu[rowsl, :][:, pair.h1.cell_dofs[t]] += g[:, :, comp]
+                Pu[rowsl, :][:, pair.hcurl.cell_dofs[t]] += v[:, :, comp]
 
     w2 = np.concatenate([wts, wts])
     gram = Pu.T @ (w2[:, None] * Pu)

@@ -24,7 +24,7 @@ and n = 0 is axisymmetric.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class ModeProblem:
     quad_degree: int
     materials: dict = field(default_factory=lambda: {0: Material()})
     regions: np.ndarray | None = None  # region id per triangle (default 0)
-    c0: float = 1.0
 
     def __post_init__(self):
         if self.q < 1 or self.p < 1:
@@ -121,8 +120,6 @@ class ModeProblem:
             raise ValueError("solver policy requires q >= p")
         if self.quad_degree < 0:
             raise ValueError("quadrature degree must be nonnegative")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
         if self.transformation.kind == "TC":
             msg = validate_tc(self.n, self.transformation.alpha, self.transformation.beta)
             if msg is not None:
@@ -222,48 +219,20 @@ def inverse_substitute(transformation: Transformation, n: int, r, u, du, U):
     """Value-level inverse map (u, U) -> (e_phi, e_rz) at points with r > 0.
 
     du (the in-plane gradient of u) is consumed only by TC, whose in-plane
-    inverse involves grad(r^beta * u).
+    inverse involves grad(r^beta * u).  The value part of
+    transformed_to_physical: second derivatives of u and first derivatives
+    of U enter only the derivatives of the physical field.
     """
-    r = _check_r(r)
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
-    U = np.asarray(U, dtype=float)
-    kind = transformation.kind
-
-    if kind == "TA":
-        return u / r, U.copy()
-
-    if kind in ("TB", "TD") and n == 0:
-        return u.copy(), U.copy()
-
-    if kind == "TB" or (kind == "TD" and abs(n) == 1):
-        e_rz = (r[..., None] * U - u[..., None] * np.array([1.0, 0.0])) / n
-        return u.copy(), e_rz
-
-    if kind == "TD":  # |n| > 1
-        return u.copy(), r[..., None] * U / n
-
-    # TC
-    a, b = transformation.alpha, transformation.beta
-    e_phi = r ** (b - 1) * u
-    if n == 0:
-        return e_phi, U.copy()
-    grad_w = np.stack(
-        [b * r ** (b - 1) * u + r**b * du[..., 0], r**b * du[..., 1]], axis=-1
-    )
-    e_rz = (r[..., None] ** a * U - grad_w) / n
-    return e_phi, e_rz
+    tv = TransformedValues(u, du, np.zeros(3), U, np.zeros((2, 2)))
+    b = transformed_to_physical(transformation, n, r, tv)
+    return np.array(b.e_phi, dtype=float), np.stack(np.broadcast_arrays(b.e_r, b.e_z), axis=-1)
 
 
 def transformed_to_physical(transformation: Transformation, n: int, r,
-                            u, du, d2u, U, dU) -> PhysicalBundle:
+                            tv: TransformedValues) -> PhysicalBundle:
     """Inverse substitution with chain-rule derivatives of the physical field."""
     r = _check_r(r)
-    u = np.asarray(u, float)
-    du = np.asarray(du, float)
-    d2u = np.asarray(d2u, float)
-    U = np.asarray(U, float)
-    dU = np.asarray(dU, float)
+    u, du, d2u, U, dU = (np.asarray(getattr(tv, f.name), float) for f in fields(tv))
     kind = transformation.kind
 
     if kind == "TA":
@@ -325,16 +294,12 @@ def curl_of_bundle(bundle: PhysicalBundle, n: int, r) -> np.ndarray:
     )
 
 
-def _bundle(transformation, n, r, tv: TransformedValues) -> PhysicalBundle:
-    return transformed_to_physical(transformation, n, r, tv.u, tv.du, tv.d2u, tv.U, tv.dU)
-
-
 def stiffness_integrand(transformation: Transformation, n: int, material: Material,
                         r, trial: TransformedValues, test: TransformedValues):
     """Pointwise mu^-1-weighted curl_n(trial).curl_n(test) times the r measure."""
     r = np.asarray(r, dtype=float)
-    ct = curl_of_bundle(_bundle(transformation, n, r, trial), n, r)
-    cs = curl_of_bundle(_bundle(transformation, n, r, test), n, r)
+    ct = curl_of_bundle(transformed_to_physical(transformation, n, r, trial), n, r)
+    cs = curl_of_bundle(transformed_to_physical(transformation, n, r, test), n, r)
     inv_mu = np.array([1.0 / m for m in material.mu])
     return np.einsum("...c,...c->...", ct * inv_mu, cs) * r
 
@@ -343,8 +308,8 @@ def mass_integrand(transformation: Transformation, n: int, material: Material,
                    r, trial: TransformedValues, test: TransformedValues):
     """Pointwise eps-weighted trial.test of the physical fields times r."""
     r = np.asarray(r, dtype=float)
-    bt = _bundle(transformation, n, r, trial)
-    bs = _bundle(transformation, n, r, test)
+    bt = transformed_to_physical(transformation, n, r, trial)
+    bs = transformed_to_physical(transformation, n, r, test)
     e_r, e_p, e_z = material.eps
     return (e_r * bt.e_r * bs.e_r + e_p * bt.e_phi * bs.e_phi + e_z * bt.e_z * bs.e_z) * r
 

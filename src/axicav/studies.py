@@ -15,7 +15,7 @@ recorded as absent, TM targets on the in-plane block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -383,9 +383,24 @@ def _target_omega(cfg: StudyConfig, tr: Transformation, q: int, p: int,
     return omega, omega_t, spec, idx, mesh, pair, pencil
 
 
-def _p_for_csv(cfg: StudyConfig, p: int):
-    """The in-plane order is reported as absent for scalar-block-only runs."""
-    return None if _block_for(cfg) == "h1" else p
+def _row(cfg: StudyConfig, tr: Transformation, q: int, p: int, D: int, N: int,
+         pencil, **values) -> StudyRow:
+    """One study row; the in-plane order p is reported as absent when the
+    pencil holds scalar unknowns only (the standalone n = 0 scalar block)."""
+    return StudyRow(
+        study=cfg.study, transform=tr.kind, alpha=tr.alpha, beta=tr.beta, n=cfg.n,
+        p=p if pencil.n_free_h1 < pencil.n_free else None, q=q, D=D,
+        G=rule_for_degree(D).point_count, N=N, free_dofs=pencil.n_free, **values,
+    )
+
+
+def _target_row(cfg: StudyConfig, tr: Transformation, q: int, p: int, D: int, N: int,
+                pencil, omega: float, omega_t: float, **values) -> StudyRow:
+    """Study row of the computed target frequency against the analytic one."""
+    return _row(
+        cfg, tr, q, p, D, N, pencil, mode_id=cfg.target.mode_id, omega_numeric=omega,
+        omega_analytic=omega_t, rel_error=abs(omega - omega_t) / omega_t, **values,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +414,13 @@ def run_convergence(cfg: StudyConfig):
     rows, slopes = [], {}
     for tr in cfg.transforms:
         D = _quad_degree(cfg, tr, q, p, block)
-        G = rule_for_degree(D).point_count
         errs = []
         for N in cfg.mesh_ladder:
             omega, omega_t, spec, _, _, _, pencil = _target_omega(
                 cfg, tr, q, p, N, D, block
             )
-            err = abs(omega - omega_t) / omega_t
-            errs.append(err)
-            rows.append(
-                StudyRow(
-                    study=cfg.study, transform=tr.kind, alpha=tr.alpha, beta=tr.beta,
-                    n=cfg.n, p=_p_for_csv(cfg, p), q=q, D=D, G=G, N=N,
-                    free_dofs=pencil.n_free, mode_id=cfg.target.mode_id,
-                    omega_numeric=omega, omega_analytic=omega_t, rel_error=err,
-                )
-            )
+            rows.append(_target_row(cfg, tr, q, p, D, N, pencil, omega, omega_t))
+            errs.append(rows[-1].rel_error)
         slope = fit_slope(cfg.mesh_ladder, errs)
         rows[-1].slope = slope
         slopes[tr.label()] = slope
@@ -435,17 +441,8 @@ def run_quadrature_sweep(cfg: StudyConfig):
             omega, omega_t, spec, _, _, _, pencil = _target_omega(
                 cfg, tr, q, p, N, D, block
             )
-            err = abs(omega - omega_t) / omega_t
             seq.append((D, omega))
-            rows.append(
-                StudyRow(
-                    study=cfg.study, transform=tr.kind, alpha=tr.alpha, beta=tr.beta,
-                    n=cfg.n, p=_p_for_csv(cfg, p), q=q, D=D,
-                    G=rule_for_degree(D).point_count, N=N, free_dofs=pencil.n_free,
-                    mode_id=cfg.target.mode_id, omega_numeric=omega,
-                    omega_analytic=omega_t, rel_error=err,
-                )
-            )
+            rows.append(_target_row(cfg, tr, q, p, D, N, pencil, omega, omega_t))
         threshold = polynomial_threshold_degree(
             tr, cfg.n, q, p, block=_THRESHOLD_BLOCK[block]
         )
@@ -489,13 +486,8 @@ def run_spurious_scan(cfg: StudyConfig):
             tol = estimate_match_tol(spec.eigenvalues, window)
             report = match_spectra(spec.eigenvalues, window, tol)
             counts[(tr.label(), N)] = report.spurious_count
-            rows.append(
-                StudyRow(
-                    study=cfg.study, transform=tr.kind, alpha=tr.alpha, beta=tr.beta,
-                    n=cfg.n, p=p, q=q, D=D, G=rule_for_degree(D).point_count, N=N,
-                    free_dofs=pencil.n_free, spurious_count=report.spurious_count,
-                )
-            )
+            rows.append(_row(cfg, tr, q, p, D, N, pencil,
+                             spurious_count=report.spurious_count))
     return rows, counts
 
 
@@ -512,21 +504,12 @@ def run_alphabeta_scan(cfg: StudyConfig):
     for tr in cfg.transforms:
         if tr.kind != "TC":
             raise ConfigError("alphabeta scan accepts only TC transformations")
-    rows, slopes = [], {}
-    for tr in cfg.transforms:
-        sub = replace(cfg, transforms=(tr,))
-        tr_rows, tr_slopes = run_convergence(sub)
-        rows.extend(tr_rows)
-        slopes[(tr.alpha, tr.beta)] = tr_slopes[tr.label()]
+    rows, by_label = run_convergence(cfg)
+    slopes = {(tr.alpha, tr.beta): by_label[tr.label()] for tr in cfg.transforms}
     scalar_block = _block_for(cfg) == "h1"
     rate = 2 * q if scalar_block else 2 * p
     table = convergent_tc_params(cfg.n)
-    expected = {}
-    for alpha, beta in slopes:
-        if cfg.n == 0:
-            expected[(alpha, beta)] = (None, beta) in table
-        else:
-            expected[(alpha, beta)] = (alpha, beta) in table
+    expected = {(a, b): (None if cfg.n == 0 else a, b) in table for a, b in slopes}
     classification = {key: s >= rate - 0.4 for key, s in slopes.items()}
     return rows, slopes, classification, expected
 
@@ -549,15 +532,7 @@ def run_regularity(cfg: StudyConfig):
         vec = pencil.expand(spec.eigenvectors[:, idx])
         exponent = axis_regularity_probe(mesh, pair, vec)
         exponents[tr.label()] = exponent
-        rows.append(
-            StudyRow(
-                study=cfg.study, transform=tr.kind, alpha=tr.alpha, beta=tr.beta,
-                n=cfg.n, p=p, q=q, D=D, G=rule_for_degree(D).point_count, N=N,
-                free_dofs=pencil.n_free, mode_id=cfg.target.mode_id,
-                omega_numeric=omega, omega_analytic=omega_t,
-                rel_error=abs(omega - omega_t) / omega_t, slope=exponent,
-            )
-        )
+        rows.append(_target_row(cfg, tr, q, p, D, N, pencil, omega, omega_t, slope=exponent))
     return rows, exponents
 
 

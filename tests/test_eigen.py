@@ -132,6 +132,24 @@ def test_sparse_path_matches_dense(coupled_pencil):
     assert sparse_spec.method == "shift-invert"
 
 
+@pytest.mark.parametrize("j", [0, 4, 9])
+def test_dense_k_solve_starts_above_half_hint(coupled_pencil, j):
+    full = solve(coupled_pencil)
+    hint = float(full.eigenvalues[j] + full.eigenvalues[j + 1])  # hint / 2 between j, j + 1
+    spec = solve(coupled_pencil, k=4, hint=hint)
+    expect = full.eigenvalues[full.eigenvalues > 0.5 * hint][:4]
+    assert spec.method == "dense"
+    assert np.array_equal(spec.eigenvalues, expect)
+
+
+def test_sparse_k_solve_needs_hint(coupled_pencil, monkeypatch):
+    import axicav.eigen as eigen_mod
+
+    monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
+    with pytest.raises(EigenSolverError, match="hint"):
+        solve(coupled_pencil, k=3)
+
+
 def test_sparse_residual_failure_is_immediate(coupled_pencil, monkeypatch):
     import axicav.eigen as eigen_mod
 

@@ -94,6 +94,28 @@ def test_inverse_identity_for_n0():
         assert np.allclose(e_rz, [2.0, -1.0])
 
 
+_ADMISSIBLE = [
+    pytest.param(tr, n, id=f"{tr.label()}-{n}")
+    for tr in (Transformation("TA"), Transformation("TB"), Transformation("TD"),
+               Transformation("TC", 1.0, 1.0), Transformation("TC", 1.0, 2.0),
+               Transformation("TC", 2.0, 2.0))
+    for n in (0, 1, -1, 2)
+    if tr.kind != "TC" or validate_tc(n, tr.alpha, tr.beta) is None
+]
+
+
+@pytest.mark.parametrize("tr,n", _ADMISSIBLE)
+def test_inverse_undoes_forward_substitution(tr, n):
+    rng = np.random.default_rng(7)
+    er, ephi, ez = _oracles.random_field(rng)
+    r = rng.uniform(0.05, 1.0, 20)
+    z = rng.uniform(0.0, 1.0, 20)
+    tv = _oracles.forward_bundles(tr, n, er, ephi, ez, r, z)
+    e_phi, e_rz = inverse_substitute(tr, n, r, tv.u, tv.du, tv.U)
+    assert np.allclose(e_phi, ephi(r, z), rtol=1e-12, atol=1e-12)
+    assert np.allclose(e_rz, np.stack([er(r, z), ez(r, z)], -1), rtol=1e-12, atol=1e-12)
+
+
 def test_inverse_rejects_axis():
     with pytest.raises(ValueError):
         inverse_substitute(Transformation("TB"), 1, 0.0, 1.0, np.zeros(2), np.ones(2))

@@ -200,6 +200,15 @@ def test_run_convergence_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_high_target_found_on_dense_path():
+    # TE141 sits far up the n = 1 spectrum; the k lowest eigenvalues overall
+    # do not reach it, the k lowest above half the target do.
+    cfg = _cfg(q=3, p=2, mesh_ladder=(4, 8), target=AnalyticTarget("TE", 1, 4, 1))
+    rows, _ = run_convergence(cfg)
+    assert rows[-1].rel_error < 1e-3
+    assert rows[-1].rel_error < rows[0].rel_error
+
+
 def test_run_spurious_scan_small():
     cfg = _cfg(study="spurious", mesh_ladder=(4,), modes=3)
     rows, counts = run_spurious_scan(cfg)
