@@ -25,6 +25,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import legval
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .formulation import TransformedValues
 from .mesh import CrossSectionMesh, locate_point
@@ -96,22 +98,31 @@ def _h1_lattice(q: int):
     return np.array(idx, dtype=int)
 
 
-class _ScalarElement:
+class _Element:
+    """Local basis of one element class, tabulated in the centered, scaled
+    coordinates (x - centroid) / scale of the class representative."""
+
+    def __init__(self, verts: np.ndarray, deg: int):
+        self.centroid = verts.mean(axis=0)
+        self.offsets = verts - self.centroid  # (3, 2) vertex offsets
+        self.scale = float(np.sqrt(np.abs(_det(verts))))
+        self.expts = _monomial_exponents(deg)
+
+    def eval_bary(self, bary: np.ndarray, nderiv: int):
+        """Basis tables at barycentric points of any element of the class."""
+        return self.eval_centered(bary @ self.offsets / self.scale, nderiv)
+
+
+class _ScalarElement(_Element):
     """Lattice Lagrange basis of order q on one physical triangle."""
 
     def __init__(self, verts: np.ndarray, q: int):
-        self.q = q
-        self.centroid = verts.mean(axis=0)
-        self.scale = float(np.sqrt(np.abs(_det(verts))))
-        self.expts = _monomial_exponents(q)
-        lattice = _h1_lattice(q)
-        pts = (lattice @ verts) / q
+        super().__init__(verts, q)
+        pts = (_h1_lattice(q) @ verts) / q
         pts_c = (pts - self.centroid) / self.scale
-        V = _design(self.expts, pts_c)
-        self.coeff = np.linalg.inv(V)  # column j: monomial coeffs of basis j
-        self.n_loc = V.shape[0]
+        self.coeff = np.linalg.inv(_design(self.expts, pts_c))  # column j: basis j
 
-    def eval_centered(self, pts_c: np.ndarray, nderiv: int = 2):
+    def eval_centered(self, pts_c: np.ndarray, nderiv: int):
         val = _design(self.expts, pts_c) @ self.coeff
         if nderiv == 0:
             return (val,)
@@ -125,24 +136,17 @@ class _ScalarElement:
         ) / self.scale**2
         return val, grad, hess
 
-    def eval_bary(self, bary: np.ndarray, offsets: np.ndarray, nderiv: int = 2):
-        return self.eval_centered(bary @ offsets / self.scale, nderiv)
 
-
-class _VectorElement:
+class _VectorElement(_Element):
     """Full [P_p]^2 basis with Legendre tangential-trace edge dofs."""
 
     def __init__(self, verts: np.ndarray, p: int, flips: tuple):
-        self.p = p
-        self.centroid = verts.mean(axis=0)
-        self.scale = float(np.sqrt(np.abs(_det(verts))))
-        self.expts = _monomial_exponents(p)
+        super().__init__(verts, p)
         nm = len(self.expts)
-        self.n_mono2 = 2 * nm
 
         n_edge_dof = p + 1
         gauss_x, gauss_w = np.polynomial.legendre.leggauss(p + 2)
-        T = np.zeros((3 * n_edge_dof, self.n_mono2))
+        T = np.zeros((3 * n_edge_dof, 2 * nm))
         for le, (a, b) in enumerate(_LOCAL_EDGES):
             va, vb = verts[a], verts[b]
             if flips[le]:
@@ -174,12 +178,14 @@ class _VectorElement:
         self.n_loc = self.coeff.shape[1]
         self.n_interior = self.n_loc - 3 * n_edge_dof
 
-    def eval_centered(self, pts_c: np.ndarray, deriv: bool = True):
+    def eval_centered(self, pts_c: np.ndarray, nderiv: int):
+        if nderiv > 1:
+            raise ValueError("H(curl) elements tabulate values and first derivatives only")
         nm = len(self.expts)
         mono = _design(self.expts, pts_c)
         cr, cz = self.coeff[:nm], self.coeff[nm:]
         val = np.stack([mono @ cr, mono @ cz], axis=-1)  # (np, nloc, 2)
-        if not deriv:
+        if nderiv == 0:
             return (val,)
         g = _design_grad(self.expts, pts_c) / self.scale  # (np, nm, 2)
         jac = np.stack(
@@ -191,9 +197,6 @@ class _VectorElement:
         )  # (np, nloc, 2, 2): jac[..., i, j] = d U_i / d x_j
         return val, jac
 
-    def eval_bary(self, bary: np.ndarray, offsets: np.ndarray, deriv: bool = True):
-        return self.eval_centered(bary @ offsets / self.scale, deriv)
-
 
 def _det(verts: np.ndarray) -> float:
     return (verts[1, 0] - verts[0, 0]) * (verts[2, 1] - verts[0, 1]) - (
@@ -201,15 +204,15 @@ def _det(verts: np.ndarray) -> float:
     ) * (verts[2, 0] - verts[0, 0])
 
 
-def _element_classes(mesh: CrossSectionMesh, with_flips: bool):
-    """Group congruent elements (translation-equal up to 1e-12 relative)."""
+def _element_classes(mesh: CrossSectionMesh, flips: np.ndarray | None = None):
+    """Group congruent elements (translation-equal up to 1e-12 relative),
+    with equal edge flips when `flips` is given."""
     verts = mesh.nodes[mesh.triangles]  # (nt, 3, 2)
     cent = verts.mean(axis=1, keepdims=True)
     scale = np.sqrt(np.abs(mesh.triangle_areas() * 2.0))
     offs = (verts - cent) / scale[:, None, None]
     keys = np.round(offs.reshape(len(verts), 6) * 1e12).astype(np.int64)
-    if with_flips:
-        flips = _edge_flips(mesh)
+    if flips is not None:
         keys = np.hstack([keys, flips.astype(np.int64)])
     _, first, class_of = np.unique(
         keys, axis=0, return_index=True, return_inverse=True
@@ -229,14 +232,30 @@ def _edge_flips(mesh: CrossSectionMesh) -> np.ndarray:
 class _Space:
     """Shared by both spaces: elements grouped by class of one local basis."""
 
-    @property
-    def n_loc(self) -> int:
-        return self.cell_dofs.shape[1]
-
     def element_groups(self):
         for c, elem in enumerate(self._elements):
             ids = np.nonzero(self._class_of == c)[0]
             yield ids, elem
+
+    def evaluate(self, coeffs: np.ndarray, points: np.ndarray, nderiv: int = 0):
+        """The FE function with coefficients `coeffs` at physical points (r, z).
+
+        Returns the values for nderiv = 0, else the tuple (values, first
+        derivatives[, second derivatives]) laid out like the element tables:
+        H1 gives the gradient and the (rr, rz, zz) Hessian, H(curl) the
+        Jacobian d U_i / d x_j.  Raises ValueError for a point outside the
+        cross section.
+        """
+        samples = []
+        for r, z in np.atleast_2d(points):
+            t, _ = locate_point(self.mesh, r, z)
+            elem = self._elements[self._class_of[t]]
+            centroid = self.mesh.nodes[self.mesh.triangles[t]].mean(axis=0)
+            tabs = elem.eval_centered((np.array([[r, z]]) - centroid) / elem.scale, nderiv)
+            local = coeffs[self.cell_dofs[t]]
+            samples.append([np.tensordot(local, tab[0], axes=1) for tab in tabs])
+        out = tuple(np.array(col) for col in zip(*samples))
+        return out[0] if nderiv == 0 else out
 
 
 @dataclass(frozen=True)
@@ -251,31 +270,6 @@ class H1Space(_Space):
     edge_trace_dofs: np.ndarray  # (n_edges, q + 1) dofs with support on the edge
     _class_of: np.ndarray
     _elements: tuple  # _ScalarElement per class
-    _offsets: np.ndarray  # (nt, 3, 2) vertex offsets from centroid
-    _centroids: np.ndarray
-
-    def evaluate(self, coeffs: np.ndarray, points: np.ndarray, nderiv: int = 0):
-        """Evaluate the FE function (and derivatives) at physical points."""
-        points = np.atleast_2d(points)
-        vals = np.zeros(len(points))
-        grads = np.zeros((len(points), 2))
-        hess = np.zeros((len(points), 3))
-        for i, (r, z) in enumerate(points):
-            t, _ = locate_point(self.mesh, r, z)
-            elem = self._elements[self._class_of[t]]
-            pc = (np.array([[r, z]]) - self._centroids[t]) / elem.scale
-            tabs = elem.eval_centered(pc, nderiv)
-            local = coeffs[self.cell_dofs[t]]
-            vals[i] = tabs[0][0] @ local
-            if nderiv >= 1:
-                grads[i] = local @ tabs[1][0]
-            if nderiv >= 2:
-                hess[i] = local @ tabs[2][0]
-        if nderiv == 0:
-            return vals
-        if nderiv == 1:
-            return vals, grads
-        return vals, grads, hess
 
 
 @dataclass(frozen=True)
@@ -288,26 +282,7 @@ class HCurlSpace(_Space):
     cell_dofs: np.ndarray  # (nt, nloc)
     edge_dofs: np.ndarray  # (n_edges, p + 1)
     _class_of: np.ndarray
-    _elements: tuple
-    _offsets: np.ndarray
-    _centroids: np.ndarray
-
-    def evaluate(self, coeffs: np.ndarray, points: np.ndarray, deriv: bool = False):
-        points = np.atleast_2d(points)
-        vals = np.zeros((len(points), 2))
-        jacs = np.zeros((len(points), 2, 2))
-        for i, (r, z) in enumerate(points):
-            t, _ = locate_point(self.mesh, r, z)
-            elem = self._elements[self._class_of[t]]
-            pc = (np.array([[r, z]]) - self._centroids[t]) / elem.scale
-            tabs = elem.eval_centered(pc, deriv)
-            local = coeffs[self.cell_dofs[t]]
-            vals[i] = np.einsum("lc,l->c", tabs[0][0], local)
-            if deriv:
-                jacs[i] = np.einsum("lcd,l->cd", tabs[1][0], local)
-        if deriv:
-            return vals, jacs
-        return vals
+    _elements: tuple  # _VectorElement per class
 
 
 def build_h1(mesh: CrossSectionMesh, q: int) -> H1Space:
@@ -363,10 +338,9 @@ def build_h1(mesh: CrossSectionMesh, q: int) -> H1Space:
             edge_base + np.arange(mesh.n_edges)[:, None] * n_edge_int + np.arange(n_edge_int)
         )
 
-    class_of, first = _element_classes(mesh, with_flips=False)
+    class_of, first = _element_classes(mesh)
     verts = mesh.nodes[mesh.triangles]
     elements = tuple(_ScalarElement(verts[t], q) for t in first)
-    offsets = verts - verts.mean(axis=1, keepdims=True)
 
     return H1Space(
         mesh=mesh,
@@ -377,8 +351,6 @@ def build_h1(mesh: CrossSectionMesh, q: int) -> H1Space:
         edge_trace_dofs=edge_trace,
         _class_of=class_of,
         _elements=elements,
-        _offsets=offsets,
-        _centroids=verts.mean(axis=1),
     )
 
 
@@ -404,9 +376,9 @@ def build_hcurl(mesh: CrossSectionMesh, p: int) -> HCurlSpace:
 
     edge_dofs = np.arange(mesh.n_edges)[:, None] * n_edge_dof + np.arange(n_edge_dof)
 
-    class_of, first = _element_classes(mesh, with_flips=True)
-    verts = mesh.nodes[mesh.triangles]
     flips = _edge_flips(mesh)
+    class_of, first = _element_classes(mesh, flips)
+    verts = mesh.nodes[mesh.triangles]
     elements = tuple(
         _VectorElement(verts[t], p, tuple(flips[t])) for t in first
     )
@@ -422,8 +394,6 @@ def build_hcurl(mesh: CrossSectionMesh, p: int) -> HCurlSpace:
         edge_dofs=edge_dofs,
         _class_of=class_of,
         _elements=elements,
-        _offsets=verts - verts.mean(axis=1, keepdims=True),
-        _centroids=verts.mean(axis=1),
     )
 
 
@@ -459,11 +429,9 @@ class FeSpacePair:
         fixes the H1 class, so the classes are those of the H(curl) space.
         """
         for ids, vec in self.hcurl.element_groups():
-            t0 = ids[0]
-            offs = self.h1._offsets[t0]
-            s = TransformedValues.scalar(
-                *self.h1._elements[self.h1._class_of[t0]].eval_bary(bary, offs, nderiv=2))
-            v = TransformedValues.vector(*vec.eval_bary(bary, offs, deriv=True))
+            sca = self.h1._elements[self.h1._class_of[ids[0]]]
+            s = TransformedValues.scalar(*sca.eval_bary(bary, 2))
+            v = TransformedValues.vector(*vec.eval_bary(bary, 1))
             yield ids, TransformedValues(*(
                 np.concatenate([getattr(s, f.name), getattr(v, f.name)], axis=1)[None]
                 for f in fields(TransformedValues)))
@@ -478,31 +446,37 @@ def interpolate_h1(space: H1Space, f) -> np.ndarray:
     return np.asarray(f(space.dof_points[:, 0], space.dof_points[:, 1]), dtype=float)
 
 
-def _hcurl_l2_system(space: HCurlSpace, f, degree: int):
-    from scipy import sparse
-
+def _quadrature_samples(mesh: CrossSectionMesh, degree: int):
+    """Barycentric points of the degree rule on every element, and the
+    weights of a sampled 2-vector field (both components), |det J| included."""
     rule = rule_for_degree(degree)
-    bary, w = rule.points, rule.weights
-    verts = space.mesh.nodes[space.mesh.triangles]
-    dets = np.abs(space.mesh.triangle_areas() * 2.0)
+    dets = np.abs(mesh.triangle_areas() * 2.0)
+    w = (dets[:, None] * rule.weights).ravel()
+    return rule.points, np.concatenate([w, w])
+
+
+def _sample_matrix(space: _Space, bary: np.ndarray, nderiv: int) -> sparse.csr_matrix:
+    """Sparse map from coefficients to the nderiv-th derivative table of the
+    space, a 2-vector, at the barycentric points of every element.
+
+    Row c * n_samples + t * nq + k holds component c at point k of element t,
+    with n_samples = n_triangles * nq.
+    """
+    nq = len(bary)
+    n_samples = space.mesh.n_triangles * nq
     rows, cols, vals = [], [], []
-    rhs = np.zeros(space.ndof)
     for ids, elem in space.element_groups():
-        (val,) = elem.eval_bary(bary, space._offsets[ids[0]], deriv=False)
-        gram = np.einsum("q,qic,qjc->ij", w, val, val)  # class-constant
-        pts = np.einsum("qk,tkc->tqc", bary, verts[ids])
-        for t, e in enumerate(ids):
-            dofs = space.cell_dofs[e]
-            rows.append(np.repeat(dofs, len(dofs)))
-            cols.append(np.tile(dofs, len(dofs)))
-            vals.append((gram * dets[e]).ravel())
-            fv = np.stack(f(pts[t, :, 0], pts[t, :, 1]), axis=-1)  # (nq, 2)
-            rhs[dofs] += np.einsum("q,qic,qc->i", w * dets[e], val, fv)
-    G = sparse.coo_matrix(
+        tab = elem.eval_bary(bary, nderiv)[nderiv]  # (nq, nloc, 2)
+        shape = (len(ids),) + tab.shape
+        sample = ids[:, None] * nq + np.arange(nq)
+        row = sample[:, :, None, None] + n_samples * np.arange(2)  # (ne, nq, 1, 2)
+        rows.append(np.broadcast_to(row, shape).ravel())
+        cols.append(np.broadcast_to(space.cell_dofs[ids][:, None, :, None], shape).ravel())
+        vals.append(np.broadcast_to(tab, shape).ravel())
+    return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.ndof, space.ndof),
-    ).tocsc()
-    return G, rhs
+        shape=(2 * n_samples, space.ndof),
+    )
 
 
 def project_hcurl(space: HCurlSpace, f, degree: int | None = None) -> np.ndarray:
@@ -510,12 +484,15 @@ def project_hcurl(space: HCurlSpace, f, degree: int | None = None) -> np.ndarray
 
     f(r, z) must return the pair of component arrays (f_r, f_z).
     """
-    from scipy.sparse.linalg import splu
-
     if degree is None:
         degree = 2 * space.p + 2
-    G, rhs = _hcurl_l2_system(space, f, degree)
-    return splu(G).solve(rhs)
+    mesh = space.mesh
+    bary, w = _quadrature_samples(mesh, degree)
+    pts = np.einsum("qk,tkc->tqc", bary, mesh.nodes[mesh.triangles]).reshape(-1, 2)
+    F = np.concatenate(f(pts[:, 0], pts[:, 1]))
+    P = _sample_matrix(space, bary, 0)
+    PtW = P.T @ sparse.diags(w)
+    return splu((PtW @ P).tocsc()).solve(PtW @ F)
 
 
 def gradient_inclusion_check(pair: FeSpacePair, degree: int | None = None) -> float:
@@ -527,31 +504,9 @@ def gradient_inclusion_check(pair: FeSpacePair, degree: int | None = None) -> fl
     """
     if degree is None:
         degree = 2 * max(pair.h1.q, pair.hcurl.p) + 2
-    rule = rule_for_degree(degree)
-    bary, w = rule.points, rule.weights
-    mesh = pair.h1.mesh
-    dets = np.abs(mesh.triangle_areas() * 2.0)
-
-    nq = rule.point_count
-    nsamp = mesh.n_triangles * nq
-    Gu = np.zeros((2 * nsamp, pair.h1.ndof))
-    Pu = np.zeros((2 * nsamp, pair.hcurl.ndof))
-    wts = np.zeros(nsamp)
-
-    nlu = pair.h1.n_loc
-    for ids, local in pair.local_basis(bary):
-        g = local.du[0, :, :nlu]  # (nq, nlu, 2)
-        v = local.U[0, :, nlu:]  # (nq, nlU, 2)
-        for t in ids:
-            wts[t * nq : (t + 1) * nq] = w * dets[t]
-            for comp in range(2):
-                rowsl = slice(comp * nsamp + t * nq, comp * nsamp + (t + 1) * nq)
-                Gu[rowsl, :][:, pair.h1.cell_dofs[t]] += g[:, :, comp]
-                Pu[rowsl, :][:, pair.hcurl.cell_dofs[t]] += v[:, :, comp]
-
-    w2 = np.concatenate([wts, wts])
-    gram = Pu.T @ (w2[:, None] * Pu)
-    cross = Pu.T @ (w2[:, None] * Gu)
-    X = np.linalg.solve(gram, cross)
-    resid = Gu - Pu @ X
-    return float(np.max(np.abs(resid)))
+    bary, w = _quadrature_samples(pair.h1.mesh, degree)
+    G = _sample_matrix(pair.h1, bary, 1)
+    P = _sample_matrix(pair.hcurl, bary, 0)
+    PtW = P.T @ sparse.diags(w)
+    X = np.linalg.solve((PtW @ P).toarray(), (PtW @ G).toarray())
+    return float(np.max(np.abs(G.toarray() - P @ X)))

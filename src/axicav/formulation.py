@@ -24,7 +24,7 @@ and n = 0 is axisymmetric.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,8 +110,7 @@ class ModeProblem:
     q: int
     p: int
     quad_degree: int
-    materials: dict = field(default_factory=lambda: {0: Material()})
-    regions: np.ndarray | None = None  # region id per triangle (default 0)
+    material: Material = Material()
 
     def __post_init__(self):
         if self.q < 1 or self.p < 1:
@@ -124,13 +123,6 @@ class ModeProblem:
             msg = validate_tc(self.n, self.transformation.alpha, self.transformation.beta)
             if msg is not None:
                 raise ValueError(msg)
-        if self.regions is not None and len(self.regions) != self.mesh.n_triangles:
-            raise ValueError("regions must give one id per triangle")
-
-    def region_of(self) -> np.ndarray:
-        if self.regions is None:
-            return np.zeros(self.mesh.n_triangles, dtype=int)
-        return np.asarray(self.regions, dtype=int)
 
 
 def curl_n(n, r, e_r, e_phi, e_z, der_dz, dez_dr, drephi_dr, drephi_dz):

@@ -81,9 +81,6 @@ class CrossSectionMesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    def boundary_edge_indices(self) -> np.ndarray:
-        return np.array(sorted(self.boundary_tags), dtype=int)
-
     def axis_edges(self) -> np.ndarray:
         return np.array(
             sorted(e for e, t in self.boundary_tags.items() if t is BoundaryTag.AXIS),
@@ -198,8 +195,13 @@ def locate_point(mesh: CrossSectionMesh, r: float, z: float) -> tuple[int, np.nd
     """Find the triangle containing (r, z) and its barycentric coordinates.
 
     Points on cell boundaries are assigned to the lower-index cell, so a
-    sample at r = k*h evaluates fields from the left column.
+    sample at r = k*h evaluates fields from the left column.  Raises
+    ValueError for a point outside [0, R] x [0, L] by more than
+    1e-12 * max(R, L).
     """
+    tol = 1e-12 * max(mesh.R, mesh.L)
+    if not (-tol <= r <= mesh.R + tol and -tol <= z <= mesh.L + tol):
+        raise ValueError(f"({r}, {z}) is outside the cross section [0, {mesh.R}] x [0, {mesh.L}]")
     h_r = mesh.R / mesh.N
     n_z = mesh.n_z
     h_z = mesh.L / n_z

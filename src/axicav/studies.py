@@ -15,7 +15,7 @@ recorded as absent, TM targets on the in-plane block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -202,11 +202,7 @@ def parse_config_file(path) -> dict:
     return entries
 
 
-_KNOWN_KEYS = {
-    "study", "transforms", "n", "q", "p", "mesh_ladder", "quad_degree",
-    "quad_degrees", "target", "modes", "R", "L", "output",
-    "expect_slope_min", "expect_slope_max", "expect_spurious_max",
-}
+_KNOWN_KEYS = {f.name for f in fields(StudyConfig)}
 
 _STUDIES = ("converge", "spurious", "quadsweep", "alphabeta", "regularity")
 
@@ -256,9 +252,11 @@ def build_study_config(entries: dict) -> StudyConfig:
         except ValueError as exc:
             raise ConfigError(f"bad float for {key!r}: {entries[key]!r}") from exc
 
-    n = geti("n")
-    if n is None and "n" not in entries:
+    if "n" not in entries:
         raise ConfigError("missing required key 'n'")
+    n = geti("n")
+    if n is None:
+        raise ConfigError("n must be an integer azimuthal mode number, got 'auto'")
 
     target = None
     if "target" in entries:
@@ -561,9 +559,8 @@ def reconstruct_field(pair, transformation, n, vec_full, r, phi, z) -> np.ndarra
     Inverse-substitutes the discrete pair at (r, z), then applies the
     azimuthal expansion: (cos, sin, cos) factors of n*phi for n >= 1, the
     complementary (sin, cos, sin) set for n <= -1, no phi dependence at n = 0.
+    Raises ValueError for r <= 0 or a point outside the cross section.
     """
-    if r <= 0:
-        raise ValueError("reconstruction requires r > 0")
     u_c = vec_full[: pair.n_h1]
     U_c = vec_full[pair.n_h1:]
     pts = np.array([[r, z]])

@@ -47,6 +47,15 @@ def test_zero_modes_is_config_error(tmp_path, capsys):
     assert main(["spurious", "--config", str(cfg)]) == 2
 
 
+def test_auto_mode_number_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "study = converge\ntransforms = TB\nn = auto\nq = 2\np = 1\n"
+        f"mesh_ladder = 2,4\ntarget = TE,1,1,1\noutput = {tmp_path / 'out.csv'}\n"
+    )
+    assert main(["converge", "--config", str(cfg)]) == 2
+
+
 def test_converge_run_and_gate(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     cfg = tmp_path / "c.cfg"

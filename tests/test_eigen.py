@@ -17,7 +17,6 @@ def _pencil_from_dense(K, M):
         ndof_full=n,
         n_h1=n,
         free_to_full=np.arange(n),
-        full_to_free=np.arange(n),
         constrained=np.empty(0, dtype=int),
         n_free_h1=n,
     )
@@ -101,7 +100,6 @@ def test_eigenvalues_invariant_under_renumbering(coupled_pencil):
         ndof_full=coupled_pencil.ndof_full,
         n_h1=coupled_pencil.n_h1,
         free_to_full=np.arange(coupled_pencil.n_free),
-        full_to_free=np.arange(coupled_pencil.n_free),
         constrained=np.empty(0, dtype=int),
         n_free_h1=coupled_pencil.n_free_h1,
     )

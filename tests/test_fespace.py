@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,16 @@ def mesh2():
 
 
 def _rand_poly_scalar(rng, deg):
+    """Random polynomial of total degree deg; f(r, z, dr, dz) is its exact
+    (dr, dz) derivative."""
     c = rng.standard_normal((deg + 1, deg + 1))
 
-    def f(r, z):
+    def f(r, z, dr=0, dz=0):
         out = np.zeros_like(np.asarray(r, dtype=float))
-        for a in range(deg + 1):
-            for b in range(deg + 1 - a):
-                out = out + c[a, b] * r**a * z**b
+        for a in range(dr, deg + 1):
+            for b in range(dz, deg + 1 - a):
+                d = math.perm(a, dr) * math.perm(b, dz)
+                out = out + c[a, b] * d * r ** (a - dr) * z ** (b - dz)
         return out
 
     return f
@@ -74,6 +79,41 @@ def test_hcurl_projection_reproduces_polynomials(mesh2, p):
     assert np.max(np.abs(vals - exact)) < 1e-11
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_h1_evaluate_derivatives_of_interpolated_polynomials(mesh2, q):
+    rng = np.random.default_rng(20 + q)
+    f = _rand_poly_scalar(rng, q)
+    space = build_h1(mesh2, q)
+    coeffs = interpolate_h1(space, f)
+    pts = rng.uniform(0.0, 1.0, size=(40, 2))
+    r, z = pts[:, 0], pts[:, 1]
+    _, grad = space.evaluate(coeffs, pts, nderiv=1)
+    vals, grad2, hess = space.evaluate(coeffs, pts, nderiv=2)
+    assert np.max(np.abs(vals - f(r, z))) < 1e-10
+    exact_grad = np.stack([f(r, z, 1, 0), f(r, z, 0, 1)], axis=-1)
+    exact_hess = np.stack([f(r, z, 2, 0), f(r, z, 1, 1), f(r, z, 0, 2)], axis=-1)
+    assert np.max(np.abs(grad - exact_grad)) < 1e-10
+    assert np.array_equal(grad, grad2)
+    assert np.max(np.abs(hess - exact_hess)) < 1e-10
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_hcurl_evaluate_jacobian_of_projected_polynomials(mesh2, p):
+    rng = np.random.default_rng(30 + p)
+    fr, fz = _rand_poly_scalar(rng, p), _rand_poly_scalar(rng, p)
+    space = build_hcurl(mesh2, p)
+    coeffs = project_hcurl(space, lambda r, z: (fr(r, z), fz(r, z)))
+    pts = rng.uniform(0.0, 1.0, size=(40, 2))
+    r, z = pts[:, 0], pts[:, 1]
+    vals, jac = space.evaluate(coeffs, pts, nderiv=1)
+    assert np.max(np.abs(vals - np.stack([fr(r, z), fz(r, z)], axis=-1))) < 1e-10
+    exact = np.stack([
+        np.stack([fr(r, z, 1, 0), fr(r, z, 0, 1)], axis=-1),
+        np.stack([fz(r, z, 1, 0), fz(r, z, 0, 1)], axis=-1),
+    ], axis=-2)  # exact[:, i, j] = d f_i / d x_j
+    assert np.max(np.abs(jac - exact)) < 1e-10
+
+
 def test_hcurl_constant_field_representable(mesh2):
     space = build_hcurl(mesh2, 1)
     coeffs = project_hcurl(space, lambda r, z: (np.full_like(r, 0.7), np.full_like(r, -0.3)))
@@ -89,7 +129,7 @@ def test_hcurl_local_rank(mesh2):
         elem = space._elements[0]
         rng = np.random.default_rng(p)
         bary = rng.dirichlet((1, 1, 1), size=200)
-        (vals,) = elem.eval_bary(bary, space._offsets[0], deriv=False)
+        (vals,) = elem.eval_bary(bary, 0)
         mat = vals.transpose(0, 2, 1).reshape(-1, elem.n_loc)
         assert np.linalg.matrix_rank(mat, tol=1e-8) == (p + 1) * (p + 2)
 
@@ -113,8 +153,8 @@ def test_hcurl_tangential_conformity(mesh2):
             traces = []
             for t in tris:
                 elem = space._elements[space._class_of[t]]
-                pc = (x[None, :] - space._centroids[t]) / elem.scale
-                (v,) = elem.eval_centered(pc, deriv=False)
+                centroid = mesh2.nodes[mesh2.triangles[t]].mean(axis=0)
+                (v,) = elem.eval_centered((x[None, :] - centroid) / elem.scale, 0)
                 traces.append(
                     float(np.einsum("lc,l->c", v[0], coeffs[space.cell_dofs[t]]) @ tangent)
                 )

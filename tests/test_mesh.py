@@ -116,6 +116,17 @@ def test_locate_point_round_trip():
         assert np.allclose(p, [r, z], atol=1e-13)
 
 
+def test_locate_point_rejects_points_outside_the_cross_section():
+    m = build_structured(1.0, 2.0, 4)
+    for r, z in ((3.0, 0.5), (0.5, -2.0), (-1e-3, 1.0), (0.5, 2.0 + 1e-6), (np.nan, 0.5)):
+        with pytest.raises(ValueError, match="outside the cross section"):
+            locate_point(m, r, z)
+    # boundary points, also off by rounding, stay inside
+    for r, z in ((0.0, 0.0), (1.0, 2.0), (1.0 + 1e-13, 0.3), (0.2, -1e-13)):
+        t, bary = locate_point(m, r, z)
+        assert np.allclose(bary @ m.nodes[m.triangles[t]], [r, z], atol=1e-12)
+
+
 def test_export_text(tmp_path):
     m = build_structured(1.0, 1.0, 2)
     path = tmp_path / "mesh.txt"

@@ -240,6 +240,19 @@ def test_reconstruct_field_phi_structure():
         reconstruct_field(pair, tr, 1, vec, 0.0, 0.0, 0.5)
 
 
+def test_reconstruct_field_rejects_points_outside_the_cavity():
+    from axicav.fespace import build_pair
+    from axicav.mesh import build_structured
+
+    pair = build_pair(build_structured(1.0, 1.0, 4), 2, 1)
+    vec = np.random.default_rng(0).standard_normal(pair.n_total)
+    tr = Transformation("TB")
+    for r, z in ((3.0, 0.5), (0.5, -2.0), (0.5, 1.5)):
+        with pytest.raises(ValueError, match="outside the cross section"):
+            reconstruct_field(pair, tr, 1, vec, r, 0.0, z)
+    assert np.all(np.isfinite(reconstruct_field(pair, tr, 1, vec, 1.0, 0.0, 1.0)))
+
+
 def test_reconstruct_field_n0_axisymmetric_tm010_shape():
     from axicav.analytic import bessel_j
     from axicav.assembly import assemble
