@@ -27,6 +27,7 @@ from .fespace import (
     build_h1,
     build_hcurl,
     build_pair,
+    discrete_gradient,
     gradient_inclusion_check,
     interpolate_h1,
     project_hcurl,
@@ -40,6 +41,7 @@ from .formulation import (
     axis_conditions,
     convergent_tc_params,
     curl_n,
+    gradient_kernel_coefficient,
     inverse_substitute,
     mass_integrand,
     polynomial_integrand_predicate,

@@ -20,8 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fespace import FeSpacePair
-from .formulation import ModeProblem, axis_conditions, curl_of_bundle, transformed_to_physical
+from .fespace import FeSpacePair, discrete_gradient
+from .formulation import (
+    ModeProblem,
+    axis_conditions,
+    curl_of_bundle,
+    gradient_kernel_coefficient,
+    transformed_to_physical,
+)
 from .mesh import BoundaryTag
 from .quadrature import rule_for_degree
 
@@ -40,6 +46,12 @@ class AssembledPencil:
 
     Free dofs are ordered as in the full combined numbering (H1 block then
     H(curl) block); n_free_h1 counts how many free dofs are scalar.
+
+    kernel_map, when set, is the sparse (free vector x free scalar) map c G
+    for which range [I; c G] is exactly the kernel of K (see
+    formulation.gradient_kernel_coefficient); the dense eigensolver then
+    deflates that kernel instead of computing it.  None where the kernel
+    has no such form, and on extracted blocks.
     """
 
     K: sparse.csr_matrix
@@ -49,6 +61,7 @@ class AssembledPencil:
     free_to_full: np.ndarray
     constrained: np.ndarray
     n_free_h1: int
+    kernel_map: sparse.csr_matrix | None = None
 
     @property
     def n_free(self) -> int:
@@ -191,11 +204,26 @@ def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
     return csr(kvals_all), csr(mvals_all)
 
 
+def _kernel_map(problem: ModeProblem, pair: FeSpacePair, free: np.ndarray, n_free_h1: int):
+    """c G restricted to the free dofs, or None where [I; c G] is not the kernel.
+
+    G is exact only while the H1 gradients lie in H(curl), i.e. q <= p + 1.
+    """
+    c = gradient_kernel_coefficient(problem.transformation, problem.n)
+    if c is None or pair.h1.q > pair.hcurl.p + 1:
+        return None
+    scalar, vector = free[:n_free_h1], free[n_free_h1:] - pair.n_h1
+    if c == 0.0:
+        return sparse.csr_matrix((len(vector), len(scalar)))
+    return c * discrete_gradient(pair)[vector][:, scalar]
+
+
 def assemble(problem: ModeProblem, pair: FeSpacePair) -> AssembledPencil:
     """Assemble and reduce the pencil for the given mode problem."""
     K_full, M_full = _assemble_full(problem, pair)
     constrained = collect_constraints(problem, pair)
     K, M, free = apply_constraints(K_full, M_full, constrained)
+    n_free_h1 = int(np.sum(free < pair.n_h1))
     return AssembledPencil(
         K=K,
         M=M,
@@ -203,7 +231,8 @@ def assemble(problem: ModeProblem, pair: FeSpacePair) -> AssembledPencil:
         n_h1=pair.n_h1,
         free_to_full=free,
         constrained=constrained,
-        n_free_h1=int(np.sum(free < pair.n_h1)),
+        n_free_h1=n_free_h1,
+        kernel_map=_kernel_map(problem, pair, free, n_free_h1),
     )
 
 

@@ -1,13 +1,23 @@
-"""Generalized symmetric eigensolver with gradient-kernel filtering.
+"""Generalized symmetric eigensolver with gradient-kernel removal.
 
 The full H(curl) spaces carry a large discrete gradient kernel: the
 curl-curl pencil has a zero eigenvalue of multiplicity equal to the number
-of free scalar dofs (for coupled problems with q = p + 1).  Physical modes
-are strictly positive, so eigenvalues below a relative threshold are
-classified as kernel and removed before any spectrum matching.
+of free scalar dofs (for coupled problems with q = p + 1).
 
-Below DENSE_DIM free dofs the pencil is converted to dense storage and
-solved completely.  Above, shift-invert Lanczos iterations are used, and
+Below DENSE_DIM free dofs the pencil is solved in dense storage.  When
+assembly supplies the kernel map cG (range [I; cG] is exactly the kernel,
+see formulation.gradient_kernel_coefficient), the kernel is deflated: the
+change of unknowns x = T [w; y], T = [[I, 0], [cG, I]], turns the stiffness
+into diag(0, K_vv), and eliminating w leaves K_vv y = lambda S y on the
+vector unknowns, S the Schur complement of the transformed mass T^T M T.
+That pencil has no kernel, so a window solve computes only the eigenpairs
+up to its upper end, kernel_count is n_free_h1 and nothing is thresholded.
+Pencils without a map (n = 0, TD with |n| > 1, extracted blocks) are solved
+in full, and eigenvalues below a relative threshold are classified as
+kernel and removed before any spectrum matching.  Residuals are always
+checked on the original pencil.
+
+Above DENSE_DIM, shift-invert Lanczos iterations are used, and
 the shift placement must respect the kernel: under theta = 1/(lambda -
 sigma) the kernel maps to theta = -1/sigma, so a shift far below the
 physical spectrum makes the kernel cluster dominant and starves the wanted
@@ -23,7 +33,8 @@ Each sparse solve factorizes K - sigma M once.  The same factors drive the
 Lanczos iteration and, when a Lanczos pair misses RESIDUAL_TOL, one step of
 subspace inverse iteration with a Rayleigh-Ritz projection; a residual
 still above RESIDUAL_TOL after that step is an EigenSolverError, never a
-retry.
+retry.  Lanczos that does not converge is retried once on a larger
+subspace, then fails.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import cholesky, eigh, solve_triangular
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 __all__ = ["Spectrum", "EigenSolverError", "solve", "solve_window", "filter_kernel", "DENSE_DIM"]
@@ -55,6 +66,7 @@ class Spectrum:
     kernel_threshold: float
     residuals: np.ndarray
     method: str
+    kernel_exact: bool  # kernel deflated exactly: nothing was thresholded
 
 
 def filter_kernel(raw: np.ndarray, threshold_scale: float = KERNEL_REL):
@@ -88,17 +100,60 @@ def _check_residuals(K, M, vals, vecs, method):
     return res
 
 
-def _dense_solve(pencil, select) -> Spectrum:
-    """Full dense spectrum, kernel-filtered; keeps the eigenpairs at the
-    indices select(vals, kernel) returns."""
+def _eigh(K, M, hi=np.inf):
+    """Dense generalized eigenpairs: all of them (divide and conquer), or
+    only those up to hi when hi is finite."""
     try:
-        vals, vecs = eigh(pencil.K.toarray(), pencil.M.toarray(), driver="gvd")
+        if np.isfinite(hi):
+            return eigh(K, M, subset_by_value=(-np.inf, hi))
+        return eigh(K, M, driver="gvd")
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"dense factorization failed: {exc}") from exc
-    kernel, tau = filter_kernel(vals)
-    idx = select(vals, kernel)
-    res = _check_residuals(pencil.K, pencil.M, vals[idx], vecs[:, idx], "dense")
-    return Spectrum(vals[idx], vecs[:, idx], int(kernel.sum()), tau, res, "dense")
+
+
+def _deflated_dense(pencil, lo, hi, k):
+    """Eigenpairs with lo < lambda <= hi (the k lowest) of a pencil whose
+    kernel is range Z, Z = [I; cG] (cG = pencil.kernel_map).
+
+    In the unknowns (w, y) with x = [w; cG w + y] the stiffness is
+    diag(0, K_vv), so w = -A^-1 B y with A = Z^T M Z, B = Z^T M [0; I], and
+    K_vv y = lambda S y with S = M_vv - B^T A^-1 B.  The lifted x is
+    M-normalized because y is S-normalized.
+    """
+    nu, cG = pencil.n_free_h1, pencil.kernel_map
+    K, M = pencil.K, pencil.M
+    MZ = M[:, :nu] + M[:, nu:] @ cG
+    try:
+        L = cholesky((MZ[:nu] + cG.T @ MZ[nu:]).toarray(), lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"kernel mass matrix factorization failed: {exc}") from exc
+    W = solve_triangular(L, MZ[nu:].T.toarray(), lower=True)  # L^-1 B
+    S = M[nu:, nu:].toarray() - W.T @ W
+    vals, y = _eigh(K[nu:, nu:].toarray(), S, hi)
+    idx = np.nonzero((vals > lo) & (vals <= hi))[0][:k]
+    y = y[:, idx]
+    w = -solve_triangular(L, W @ y, lower=True, trans="T")
+    return vals[idx], np.vstack([w, cG @ w + y])
+
+
+def _dense_solve(pencil, lo=-np.inf, hi=np.inf, k=None) -> Spectrum:
+    """Dense eigenpairs with lo < lambda <= hi, the k lowest of them.
+
+    A pencil with a kernel map has its kernel deflated exactly; any other
+    is solved in full and its eigenvalues below filter_kernel's threshold
+    are dropped as kernel.
+    """
+    if pencil.kernel_map is not None:
+        vals, vecs = _deflated_dense(pencil, lo, hi, k)
+        kernel_count, tau, exact = pencil.n_free_h1, 0.0, True
+    else:
+        vals, vecs = _eigh(pencil.K.toarray(), pencil.M.toarray())
+        kernel, tau = filter_kernel(vals)
+        idx = np.nonzero(~kernel & (vals > lo) & (vals <= hi))[0][:k]
+        vals, vecs = vals[idx], vecs[:, idx]
+        kernel_count, exact = int(kernel.sum()), False
+    res = _check_residuals(pencil.K, pencil.M, vals, vecs, "dense")
+    return Spectrum(vals, vecs, kernel_count, tau, res, "dense", exact)
 
 
 def _factorize(pencil, sigma: float):
@@ -116,31 +171,34 @@ def _factorize(pencil, sigma: float):
 
 
 def _eigsh_guarded(pencil, lu, k, sigma, which):
-    """eigsh on the given factors, with ncv escalation: degenerate kernel
-    clusters near the edge of the requested set can stall Lanczos restarts
-    at the default subspace size.  Returns (vals, vecs, ncv used)."""
+    """eigsh on the given factors.  When Lanczos does not converge (a
+    degenerate kernel cluster near the edge of the requested set can stall
+    its restarts at the default subspace size) it runs once more with
+    ncv = 2 ncv + 10, and fails after that.  Returns (vals, vecs, ncv used).
+    """
     n = pencil.n_free
-    ncv = min(n, max(2 * k + 1, 20))
+    first = min(n, max(2 * k + 1, 20))
     op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
     # Fixed start vector: byte-identical spectra from run to run.
     v0 = np.random.default_rng(202406).standard_normal(n)
-    last = None
-    while True:
+    # no retry when the first subspace already spans the whole space
+    for ncv in [first] if first == n else [first, min(2 * first + 10, n)]:
         try:
             vals, vecs = eigsh(
                 pencil.K, k=k, M=pencil.M, sigma=sigma, which=which,
                 ncv=ncv, maxiter=5000, v0=v0, OPinv=op_inv,
             )
-            order = np.argsort(vals)
-            return vals[order], vecs[:, order], ncv
         except ArpackNoConvergence as exc:
             last = exc
-            if ncv >= n:
-                break
-            ncv = min(2 * ncv + 10, n)
+            continue
         except Exception as exc:
             raise EigenSolverError(f"shift-invert iteration failed: {exc}") from exc
-    raise EigenSolverError(f"shift-invert iteration failed: {last}")
+        order = np.argsort(vals)
+        return vals[order], vecs[:, order], ncv
+    raise EigenSolverError(
+        f"shift-invert iteration did not converge (k={k}, ncv={ncv}, "
+        f"sigma={sigma:.6g}): {last}"
+    )
 
 
 def _refine(pencil, lu, vecs):
@@ -172,7 +230,7 @@ def _refined_spectrum(pencil, lu, vals, vecs, kernel, tau, sigma, k, ncv) -> Spe
         vals, vecs = _refine(pencil, lu, vecs)
         where = f"shift-invert (sigma={sigma:.6g}, k={k}, ncv={ncv})"
         res = _check_residuals(pencil.K, pencil.M, vals, vecs, where)
-    return Spectrum(vals, vecs, int(kernel.sum()), tau, res, "shift-invert")
+    return Spectrum(vals, vecs, int(kernel.sum()), tau, res, "shift-invert", False)
 
 
 def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
@@ -190,9 +248,7 @@ def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
             raise EigenSolverError(
                 f"full-spectrum solve requested for dimension {n} > {DENSE_DIM}"
             )
-        return _dense_solve(
-            pencil, lambda vals, kernel: np.nonzero(~kernel & (vals > lo))[0][:k]
-        )
+        return _dense_solve(pencil, lo=lo, k=k)
     if hint is None:
         raise EigenSolverError(
             f"sparse solve for k={k} at dimension {n} needs an eigenvalue hint"
@@ -223,9 +279,7 @@ def solve_window(pencil, lam_hi: float, lam_lo_guard: float, expect: int) -> Spe
     """
     n = pencil.n_free
     if n <= DENSE_DIM:
-        return _dense_solve(
-            pencil, lambda vals, kernel: np.nonzero(~kernel & (vals <= lam_hi))[0]
-        )
+        return _dense_solve(pencil, hi=lam_hi)
 
     # Shift inside the window: the kernel sits at distance sigma, strictly
     # beyond every window eigenvalue, so nearest-first convergence walks the

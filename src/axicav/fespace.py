@@ -17,6 +17,10 @@ space of the trace map.
 Element bases are constructed numerically in translation-reduced physical
 coordinates and shared across congruent elements, which keeps structured
 meshes down to a handful of distinct element constructions.
+
+The discrete gradient G maps H1 coefficients to the H(curl) coefficients of
+their gradients.  With q <= p + 1 the gradients lie in the H(curl) space, so
+one small least-squares solve per element class gives G exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.polynomial.legendre import legval
 from scipy import sparse
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
 from .formulation import TransformedValues
@@ -39,6 +44,7 @@ __all__ = [
     "build_h1",
     "build_hcurl",
     "build_pair",
+    "discrete_gradient",
     "gradient_inclusion_check",
     "interpolate_h1",
     "project_hcurl",
@@ -455,9 +461,9 @@ def _quadrature_samples(mesh: CrossSectionMesh, degree: int):
     return rule.points, np.concatenate([w, w])
 
 
-def _sample_matrix(space: _Space, bary: np.ndarray, nderiv: int) -> sparse.csr_matrix:
-    """Sparse map from coefficients to the nderiv-th derivative table of the
-    space, a 2-vector, at the barycentric points of every element.
+def _sample_matrix(space: HCurlSpace, bary: np.ndarray) -> sparse.csr_matrix:
+    """Sparse map from coefficients to the values of the space at the
+    barycentric points of every element.
 
     Row c * n_samples + t * nq + k holds component c at point k of element t,
     with n_samples = n_triangles * nq.
@@ -466,7 +472,7 @@ def _sample_matrix(space: _Space, bary: np.ndarray, nderiv: int) -> sparse.csr_m
     n_samples = space.mesh.n_triangles * nq
     rows, cols, vals = [], [], []
     for ids, elem in space.element_groups():
-        tab = elem.eval_bary(bary, nderiv)[nderiv]  # (nq, nloc, 2)
+        (tab,) = elem.eval_bary(bary, 0)  # (nq, nloc, 2)
         shape = (len(ids),) + tab.shape
         sample = ids[:, None] * nq + np.arange(nq)
         row = sample[:, :, None, None] + n_samples * np.arange(2)  # (ne, nq, 1, 2)
@@ -490,23 +496,62 @@ def project_hcurl(space: HCurlSpace, f, degree: int | None = None) -> np.ndarray
     bary, w = _quadrature_samples(mesh, degree)
     pts = np.einsum("qk,tkc->tqc", bary, mesh.nodes[mesh.triangles]).reshape(-1, 2)
     F = np.concatenate(f(pts[:, 0], pts[:, 1]))
-    P = _sample_matrix(space, bary, 0)
+    P = _sample_matrix(space, bary)
     PtW = P.T @ sparse.diags(w)
     return splu((PtW @ P).tocsc()).solve(PtW @ F)
 
 
-def gradient_inclusion_check(pair: FeSpacePair, degree: int | None = None) -> float:
-    """Max pointwise residual of projecting every H1 basis gradient onto H(curl).
+def _local_gradients(pair: FeSpacePair, degree: int | None = None):
+    """Per element class, yields (element ids, X, residual).
 
-    With q = p + 1 the gradients are exactly representable and the residual
-    is at the rounding level.  Dense linear algebra: intended for the small
-    meshes used in verification.
+    X (H(curl) local x H1 local) holds the H(curl) coefficients of the H1
+    basis gradients: a QR least-squares fit of the gradients by the H(curl)
+    basis, both sampled at the points of a degree rule.  residual is the
+    largest pointwise misfit; with q <= p + 1 the gradients lie in the
+    space and it is at the rounding level.
     """
     if degree is None:
         degree = 2 * max(pair.h1.q, pair.hcurl.p) + 2
-    bary, w = _quadrature_samples(pair.h1.mesh, degree)
-    G = _sample_matrix(pair.h1, bary, 1)
-    P = _sample_matrix(pair.hcurl, bary, 0)
-    PtW = P.T @ sparse.diags(w)
-    X = np.linalg.solve((PtW @ P).toarray(), (PtW @ G).toarray())
-    return float(np.max(np.abs(G.toarray() - P @ X)))
+    rule = rule_for_degree(degree)
+    sqrt_w = np.sqrt(np.tile(rule.weights, 2))[:, None]  # both components
+    n_s = pair.h1.cell_dofs.shape[1]
+
+    def samples(tab):  # (1, nq, nloc, 2) -> (2 nq, nloc), component-major
+        return tab[0].transpose(2, 0, 1).reshape(-1, tab.shape[2])
+
+    for ids, local in pair.local_basis(rule.points):
+        grad, vals = samples(local.du[:, :, :n_s]), samples(local.U[:, :, n_s:])
+        Q, R = np.linalg.qr(sqrt_w * vals)
+        X = solve_triangular(R, Q.T @ (sqrt_w * grad))
+        yield ids, X, float(np.max(np.abs(grad - vals @ X)))
+
+
+def discrete_gradient(pair: FeSpacePair, degree: int | None = None) -> sparse.csr_matrix:
+    """Sparse (H(curl) dofs x H1 dofs) map G with grad u_h = G u_h.
+
+    Built from one local least-squares solve per element class; exact up to
+    rounding when q <= p + 1.
+    """
+    rows, cols, vals = [], [], []
+    for ids, X, _ in _local_gradients(pair, degree):
+        shape = (len(ids),) + X.shape
+        rows.append(np.broadcast_to(pair.hcurl.cell_dofs[ids][:, :, None], shape).ravel())
+        cols.append(np.broadcast_to(pair.h1.cell_dofs[ids][:, None, :], shape).ravel())
+        vals.append(np.broadcast_to(X, shape).ravel())
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    # Both neighbours of an edge write its rows, with the same values (the
+    # tangential-trace moments of the same gradient): keep each entry once.
+    _, first = np.unique(rows * pair.h1.ndof + cols, return_index=True)
+    return sparse.csr_matrix(
+        (vals[first], (rows[first], cols[first])), shape=(pair.hcurl.ndof, pair.h1.ndof)
+    )
+
+
+def gradient_inclusion_check(pair: FeSpacePair, degree: int | None = None) -> float:
+    """Max pointwise residual of representing every H1 basis gradient in H(curl).
+
+    The largest residual of the local fits behind discrete_gradient.  With
+    q = p + 1 the gradients are exactly representable and the residual is
+    at the rounding level.
+    """
+    return max(res for _, _, res in _local_gradients(pair, degree))

@@ -45,6 +45,7 @@ __all__ = [
     "stiffness_integrand",
     "mass_integrand",
     "axis_conditions",
+    "gradient_kernel_coefficient",
     "polynomial_integrand_predicate",
     "polynomial_threshold_degree",
     "convergent_tc_params",
@@ -337,6 +338,29 @@ def axis_conditions(transformation: Transformation, n: int) -> AxisConditions:
     if abs(n) == 1:
         return AxisConditions(False, False)
     return AxisConditions(0 < b <= 1, False)
+
+
+def gradient_kernel_coefficient(transformation: Transformation, n: int) -> float | None:
+    """The c for which range [I; c G] is exactly the kernel of the pencil.
+
+    I acts on the scalar unknowns and G is the discrete gradient (H1 into
+    H(curl)).  A gradient field e = grad_n(phi) has e_phi = -n phi / r, so
+    it reads u = -n phi, U = grad(phi) under TA; u = -n phi / r, U = -grad(u)
+    under TB (and TD with |n| = 1); and U = 0 under TC.  None where the
+    kernel is not of that form: n = 0, where the kernel is the gradients of
+    the in-plane block alone, and TD with |n| > 1, where U = n grad(phi) / r
+    is not a gradient and no c makes range [I; c G] the kernel.
+    """
+    kind = transformation.kind
+    if n == 0:
+        return None
+    if kind == "TA":
+        return -1.0 / n
+    if kind == "TB" or (kind == "TD" and abs(n) == 1):
+        return -1.0
+    if kind == "TC":
+        return 0.0
+    return None
 
 
 def _is_half_integer(x: float) -> bool:

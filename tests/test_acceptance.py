@@ -145,7 +145,7 @@ def test_criterion_02_cross_transformation_equivalence():
 def test_criterion_03_de_rham_inclusion():
     mesh = build_structured(1.0, 1.0, 2)
     worst = 0.0
-    for q, p in ((2, 1), (3, 2), (4, 3)):
+    for q, p in ((2, 1), (3, 2), (4, 3), (5, 4)):
         worst = max(worst, gradient_inclusion_check(build_pair(mesh, q, p)))
     _report(3, worst < 1e-10, f"max gradient-inclusion residual {worst:.2e} < 1e-10")
 

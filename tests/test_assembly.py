@@ -6,8 +6,10 @@ import _oracles
 from axicav.assembly import (
     _assemble_full, apply_constraints, assemble, collect_constraints, dump_matrix,
 )
-from axicav.fespace import build_pair, interpolate_h1, project_hcurl
-from axicav.formulation import Material, ModeProblem, Transformation
+from axicav.fespace import build_pair, discrete_gradient, interpolate_h1, project_hcurl
+from axicav.formulation import (
+    Material, ModeProblem, Transformation, gradient_kernel_coefficient,
+)
 from axicav.mesh import build_structured
 from axicav.quadrature import rule_for_degree
 
@@ -203,3 +205,34 @@ def test_matrix_dump_roundtrip(tmp_path, mesh4, pair4):
         rows.append(int(i)); cols.append(int(j)); vals.append(float(v))
     A = sparse.coo_matrix((vals, (rows, cols)), shape=pen.K.shape).tocsr()
     assert np.abs((A - pen.K)).max() < 1e-12 * np.abs(pen.K.data).max()
+
+
+@pytest.mark.parametrize("kind,n", [
+    ("TA", 1), ("TA", 2), ("TA", -1), ("TA", 3),
+    ("TB", 1), ("TB", 2), ("TB", -2),
+    ("TD", 1), ("TD", -1),
+    ("TC(1,1)", 1), ("TC(1,1)", 2), ("TC(1,1)", 3),
+    ("TC(1,2)", 2), ("TC(2,2)", 2),
+])
+def test_kernel_map_spans_the_kernel(mesh4, pair4, kind, n):
+    pen = assemble(_problem(mesh4, kind=Transformation.parse(kind), n=n), pair4)
+    nu = pen.n_free_h1
+    Z = sparse.vstack([sparse.identity(nu), pen.kernel_map]).tocsr()
+    assert abs(pen.K @ Z).max() <= 1e-12 * abs(pen.K).max()
+    # G maps the free scalar dofs into free vector dofs only
+    G = discrete_gradient(pair4)
+    vector = pen.constrained[pen.constrained >= pair4.n_h1] - pair4.n_h1
+    assert abs(G[vector][:, pen.free_to_full[:nu]]).max() <= 1e-12 * abs(G).max()
+
+
+@pytest.mark.parametrize("kind,n", [("TD", 2), ("TA", 0), ("TB", 0), ("TD", 0), ("TC(1,2)", 0)])
+def test_no_kernel_map_without_table_entry(mesh4, pair4, kind, n):
+    tr = Transformation.parse(kind)
+    assert gradient_kernel_coefficient(tr, n) is None
+    assert assemble(_problem(mesh4, kind=tr, n=n, D=12), pair4).kernel_map is None
+
+
+def test_no_kernel_map_when_gradients_leave_hcurl(mesh4):
+    # q > p + 1: grad H1_q is not in H(curl)_p, so G is no exact gradient
+    pen = assemble(_problem(mesh4, q=3, p=1), build_pair(mesh4, 3, 1))
+    assert pen.kernel_map is None

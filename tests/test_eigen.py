@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from axicav.assembly import AssembledPencil, assemble
-from axicav.eigen import EigenSolverError, filter_kernel, solve, solve_window
+from axicav.eigen import RESIDUAL_TOL, EigenSolverError, filter_kernel, solve, solve_window
 from axicav.fespace import build_pair
 from axicav.formulation import ModeProblem, Transformation
 from axicav.mesh import build_structured
@@ -188,3 +191,52 @@ def test_window_solve_dense(coupled_pencil):
     hi = float(dense.eigenvalues[2]) * 1.0001
     win = solve_window(coupled_pencil, hi, 0.5 * float(dense.eigenvalues[0]), expect=4)
     assert len(win.eigenvalues) == 3
+
+
+@pytest.fixture(scope="module", params=[("TB", 2), ("TC(1,1)", 1)], ids=["TB-2", "TC11-1"])
+def deflatable_pencil(request):
+    kind, n = request.param
+    mesh = build_structured(1.0, 1.0, 6)
+    prob = ModeProblem(mesh=mesh, n=n, transformation=Transformation.parse(kind),
+                       q=3, p=2, quad_degree=12)
+    return assemble(prob, build_pair(mesh, 3, 2))
+
+
+@pytest.mark.parametrize("how", ["k", "window"])
+def test_deflated_dense_solve_matches_the_full_pencil(deflatable_pencil, how):
+    pen = deflatable_pencil
+    assert pen.kernel_map is not None
+
+    def run(p):
+        if how == "k":
+            return solve(p, k=6, hint=40.0)
+        return solve_window(p, 80.0, 1.0, expect=10)
+
+    deflated = run(pen)
+    full = run(dataclasses.replace(pen, kernel_map=None))
+    assert len(deflated.eigenvalues) == len(full.eigenvalues) > 0
+    rel = np.abs(deflated.eigenvalues - full.eigenvalues) / full.eigenvalues
+    assert rel.max() <= 1e-12
+    for spec in (deflated, full):
+        assert spec.kernel_count == pen.n_free_h1
+        V = spec.eigenvectors
+        assert np.abs(V.T @ (pen.M @ V) - np.eye(V.shape[1])).max() < 1e-10
+        assert spec.residuals.max() <= RESIDUAL_TOL
+    assert deflated.kernel_exact and deflated.kernel_threshold == 0.0
+    assert not full.kernel_exact and full.kernel_threshold > 0.0
+
+
+def test_lanczos_nonconvergence_retried_once(coupled_pencil, monkeypatch):
+    import axicav.eigen as eigen_mod
+
+    calls = []
+
+    def stalled_eigsh(*args, **kwargs):
+        calls.append(kwargs["ncv"])
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
+    monkeypatch.setattr(eigen_mod, "eigsh", stalled_eigsh)
+    with pytest.raises(EigenSolverError, match=r"k=\d+, ncv=\d+, sigma="):
+        solve(coupled_pencil, k=5, hint=10.0)
+    assert calls == [calls[0], 2 * calls[0] + 10]

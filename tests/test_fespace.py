@@ -7,6 +7,7 @@ from axicav.fespace import (
     build_h1,
     build_hcurl,
     build_pair,
+    discrete_gradient,
     gradient_inclusion_check,
     interpolate_h1,
     project_hcurl,
@@ -162,11 +163,35 @@ def test_hcurl_tangential_conformity(mesh2):
     assert worst < 1e-13
 
 
-@pytest.mark.parametrize("orders", [(2, 1), (3, 2), (4, 3), (2, 2)])
+_INCLUSION_ORDERS = [(2, 1), (3, 2), (4, 3), (2, 2), (5, 4), (6, 5)]
+
+
+@pytest.mark.parametrize("orders", _INCLUSION_ORDERS)
 def test_gradient_inclusion(mesh2, orders):
     q, p = orders
     pair = build_pair(mesh2, q, p)
     assert gradient_inclusion_check(pair) < 1e-10
+
+
+@pytest.mark.parametrize("orders", _INCLUSION_ORDERS)
+def test_gradient_inclusion_on_finer_mesh(orders):
+    q, p = orders
+    pair = build_pair(build_structured(1.0, 1.0, 4), q, p)
+    assert gradient_inclusion_check(pair) < 1e-10
+
+
+@pytest.mark.parametrize("orders", [(2, 1), (3, 2), (4, 3)])
+def test_discrete_gradient_of_interpolated_polynomials(orders):
+    q, p = orders
+    mesh = build_structured(1.3, 0.9, 3)
+    rng = np.random.default_rng(40 + q)
+    f = _rand_poly_scalar(rng, q)
+    pair = build_pair(mesh, q, p)
+    G = discrete_gradient(pair)
+    pts = rng.uniform(0.0, [1.3, 0.9], size=(40, 2))
+    r, z = pts[:, 0], pts[:, 1]
+    grad = pair.hcurl.evaluate(G @ interpolate_h1(pair.h1, f), pts)
+    assert np.max(np.abs(grad - np.stack([f(r, z, 1, 0), f(r, z, 0, 1)], axis=-1))) < 1e-10
 
 
 def test_deterministic_dof_numbering(mesh2):
