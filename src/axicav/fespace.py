@@ -526,14 +526,14 @@ def _local_gradients(pair: FeSpacePair, degree: int | None = None):
         yield ids, X, float(np.max(np.abs(grad - vals @ X)))
 
 
-def discrete_gradient(pair: FeSpacePair, degree: int | None = None) -> sparse.csr_matrix:
+def discrete_gradient(pair: FeSpacePair) -> sparse.csr_matrix:
     """Sparse (H(curl) dofs x H1 dofs) map G with grad u_h = G u_h.
 
     Built from one local least-squares solve per element class; exact up to
     rounding when q <= p + 1.
     """
     rows, cols, vals = [], [], []
-    for ids, X, _ in _local_gradients(pair, degree):
+    for ids, X, _ in _local_gradients(pair):
         shape = (len(ids),) + X.shape
         rows.append(np.broadcast_to(pair.hcurl.cell_dofs[ids][:, :, None], shape).ravel())
         cols.append(np.broadcast_to(pair.h1.cell_dofs[ids][:, None, :], shape).ravel())

@@ -225,7 +225,9 @@ def test_kernel_map_spans_the_kernel(mesh4, pair4, kind, n):
     assert abs(G[vector][:, pen.free_to_full[:nu]]).max() <= 1e-12 * abs(G).max()
 
 
-@pytest.mark.parametrize("kind,n", [("TD", 2), ("TA", 0), ("TB", 0), ("TD", 0), ("TC(1,2)", 0)])
+@pytest.mark.parametrize("kind,n", [
+    ("TD", 2), ("TA", 0), ("TB", 0), ("TD", 0), ("TC(1,1)", 0), ("TC(1,2)", 0),
+])
 def test_no_kernel_map_without_table_entry(mesh4, pair4, kind, n):
     tr = Transformation.parse(kind)
     assert gradient_kernel_coefficient(tr, n) is None
