@@ -3,11 +3,14 @@
 The pair's local basis (scalar then vector functions) is mapped to
 physical fields and their weighted curl once per chunk of congruent
 elements, and each element matrix is one batched Gram product of those
-tables under the quadrature, material and r weights.  Essential
-conditions (axis conditions of the chosen transformation plus the
-perfectly conducting walls) are applied by symmetric elimination of rows
-and columns, so the reduced pencil stays symmetric with M positive
-definite.
+tables under the quadrature, material and r weights.  The integrands
+depend on r only, so z-translates share their element matrices: within
+each class of congruent elements, one matrix is computed per distinct
+triple of vertex r-coordinates and gathered to the rest of the class (the
+n_z rows of a structured mesh cost one row).  Essential conditions (axis
+conditions of the chosen transformation plus the perfectly conducting
+walls) are applied by symmetric elimination of rows and columns, so the
+reduced pencil stays symmetric with M positive definite.
 
 Element order is fixed, which makes assembled matrices bit-stable from run
 to run.
@@ -171,14 +174,22 @@ def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
     verts = mesh.nodes[mesh.triangles]
     dets = np.abs(mesh.triangle_areas() * 2.0)
     ndof = pair.n_total
-    cell_dofs = pair.combined_cell_dofs()
+    # int32 like the indices of the CSR conversion, so no COO index is copied
+    cell_dofs = pair.combined_cell_dofs().astype(np.int32)
     nloc = cell_dofs.shape[1]
 
     rows_all, cols_all, kvals_all, mvals_all = [], [], [], []
 
     for els, local in pair.local_basis(bary):
-        for start in range(0, len(els), _CHUNK):
-            ids = els[start : start + _CHUNK]
+        # the class fixes shape, size and edge flips, so elements with equal
+        # vertex r are z-translates: one element matrix each, then gathered
+        _, first, inverse = np.unique(
+            verts[els, :, 0], axis=0, return_index=True, return_inverse=True
+        )
+        reps = els[first]
+        K_u, M_u = [], []
+        for start in range(0, len(reps), _CHUNK):
+            ids = reps[start : start + _CHUNK]
             r_eq = np.einsum("qk,ek->eq", bary, verts[ids, :, 0])[:, :, None]
             b = transformed_to_physical(tr, n, r_eq, local)
             c = curl_of_bundle(b, n, r_eq)
@@ -187,14 +198,14 @@ def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
             e = np.stack([np.broadcast_to(f, c.shape[:-1]) for f in (b.e_r, b.e_phi, b.e_z)], 1)
 
             w_el = dets[ids][:, None] * wq[None, :] * r_eq[:, :, 0]  # (ne, nq)
-            K_el = _gram(np.moveaxis(c, -1, 1), inv_mu * w_el[:, None, :])
-            M_el = _gram(e, eps * w_el[:, None, :])
+            K_u.append(_gram(np.moveaxis(c, -1, 1), inv_mu * w_el[:, None, :]))
+            M_u.append(_gram(e, eps * w_el[:, None, :]))
 
-            dofs = cell_dofs[ids]
-            rows_all.append(np.repeat(dofs, nloc, axis=1).ravel())
-            cols_all.append(np.tile(dofs, (1, nloc)).ravel())
-            kvals_all.append(K_el.ravel())
-            mvals_all.append(M_el.ravel())
+        dofs = cell_dofs[els]
+        rows_all.append(np.repeat(dofs, nloc, axis=1).ravel())
+        cols_all.append(np.tile(dofs, (1, nloc)).ravel())
+        kvals_all.append(np.concatenate(K_u)[inverse].ravel())
+        mvals_all.append(np.concatenate(M_u)[inverse].ravel())
 
     ij = (np.concatenate(rows_all), np.concatenate(cols_all))
 

@@ -217,7 +217,10 @@ def _element_classes(mesh: CrossSectionMesh, flips: np.ndarray | None = None):
     cent = verts.mean(axis=1, keepdims=True)
     scale = np.sqrt(np.abs(mesh.triangle_areas() * 2.0))
     offs = (verts - cent) / scale[:, None, None]
-    keys = np.round(offs.reshape(len(verts), 6) * 1e12).astype(np.int64)
+    # the size is part of the key: the tables carry the representative's
+    # scale, so similar elements of different size must not share a class
+    shape_size = np.hstack([offs.reshape(len(verts), 6), (scale / scale.max())[:, None]])
+    keys = np.round(shape_size * 1e12).astype(np.int64)
     if flips is not None:
         keys = np.hstack([keys, flips.astype(np.int64)])
     _, first, class_of = np.unique(

@@ -21,7 +21,7 @@ from axicav.analytic import (
     pillbox_spectrum,
 )
 from axicav.assembly import assemble
-from axicav.eigen import solve, solve_window
+from axicav.eigen import EigenSolverError, solve, solve_window
 from axicav.fespace import build_pair, gradient_inclusion_check
 from axicav.formulation import (
     Material,
@@ -327,3 +327,53 @@ def test_criterion_11_tm010_anchor():
         ok,
         f"TM010 errors {['%.2e' % e for e in errs]} decreasing, final < 1e-5",
     )
+
+
+# The deflated dense solve of TB (c = -1) inherits the round-off of the
+# discrete gradient, which grows with the order of the monomial element
+# bases: at (6, 5) on N = 4 its residual is 1.1e-8 > RESIDUAL_TOL, and at
+# (5, 4) the N = 4, 6 errors sit on that floor (slope 9.56, not TC(1,1)'s
+# 8.13).  TC(1,1) (c = 0) and the undeflated solve are unaffected.
+def _tb_floor(*args, raises=None):
+    mark = pytest.mark.xfail(
+        raises=raises, strict=True,
+        reason="TB deflated dense solve at the high-order round-off floor",
+    )
+    return pytest.param(*args, marks=mark)
+
+
+@pytest.mark.parametrize("spec_str,q,p,N", [
+    (spec_str, q, q - 1, N)
+    for spec_str in ("TB", "TC(1,1)") for q in (4, 5, 6) for N in (2, 4)
+    if (spec_str, q, N) != ("TB", 6, 4)
+] + [_tb_floor("TB", 6, 5, 4, raises=EigenSolverError)])
+def test_criterion_12_high_order_spurious_free(spec_str, q, p, N):
+    """n = 1, threshold quadrature: the first eight pillbox modes pair with
+    no spurious eigenvalue at the paper's high orders q = p + 1."""
+    tr = _tr(spec_str)
+    D = polynomial_threshold_degree(tr, 1, q, p)
+    count = _spurious_count(tr.kind, tr.alpha, tr.beta, 1, q, p, N, D)
+    _report(12, count == 0, f"{spec_str} (q, p) = ({q}, {p}) N = {N}: spurious {count} (expect 0)")
+
+
+_LADDER_43 = (4, 3, (2, 4, 8), 6.21, 6.31)
+_LADDER_54 = (5, 4, (2, 3, 4, 6), 7.98, 8.28)
+
+
+@pytest.mark.parametrize("spec_str,q,p,ladder,lo,hi", [
+    ("TB", *_LADDER_43), ("TC(1,1)", *_LADDER_43),
+    _tb_floor("TB", *_LADDER_54), ("TC(1,1)", *_LADDER_54),
+])
+def test_criterion_13_high_order_slope_te111(spec_str, q, p, ladder, lo, hi):
+    """TE111 convergence slope at n = 1 on coarse ladders at high order:
+    6.26 at (4, 3) and 8.13 at (5, 4), errors 9e-6 down to 1.4e-11."""
+    tr = _tr(spec_str)
+    D = polynomial_threshold_degree(tr, 1, q, p)
+    lam_t = _lam("TE", 1, 1, 1)
+    errs = [
+        abs(_omega_at(tr.kind, tr.alpha, tr.beta, 1, q, p, N, D, lam_t) - math.sqrt(lam_t))
+        / math.sqrt(lam_t)
+        for N in ladder
+    ]
+    slope = fit_slope(ladder, errs)
+    _report(13, lo <= slope <= hi, f"{spec_str} (q, p) = ({q}, {p}) slope {slope:.2f} in [{lo}, {hi}]")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -120,18 +122,14 @@ def test_constraint_collection_counts(mesh4):
     assert len(dofs_ta) > len(dofs)
 
 
-@pytest.mark.parametrize(
-    "kind,n",
-    [("TA", 0), ("TA", 1), ("TB", 1), ("TC(1,2)", 0), ("TC(1,1)", 1), ("TD", 2)],
-)
-def test_galerkin_consistency_against_direct_quadrature(mesh4, kind, n):
+def _check_against_direct_quadrature(mesh, kind, n):
     """x^T K y from the assembled forms equals direct integration of the
-    bilinear form, on the assembly's own rule, for interpolated polynomial
-    fields."""
+    bilinear form, on the assembly's own rule and element by element, for
+    interpolated polynomial fields."""
     q, p, D = 3, 2, 9
     tr = Transformation.parse(kind)
-    pair = build_pair(mesh4, q, p)
-    K_full, M_full = _assemble_full(_problem(mesh4, tr, n=n, q=q, p=p, D=D), pair)
+    pair = build_pair(mesh, q, p)
+    K_full, M_full = _assemble_full(_problem(mesh, tr, n=n, q=q, p=p, D=D), pair)
 
     rng = np.random.default_rng(9)
 
@@ -175,9 +173,9 @@ def test_galerkin_consistency_against_direct_quadrature(mesh4, kind, n):
     mat = Material()
     K_direct = 0.0
     M_direct = 0.0
-    verts_all = mesh4.nodes[mesh4.triangles]
-    areas = mesh4.triangle_areas()
-    for t in range(mesh4.n_triangles):
+    verts_all = mesh.nodes[mesh.triangles]
+    areas = mesh.triangle_areas()
+    for t in range(mesh.n_triangles):
         verts = verts_all[t]
         pts = rule.points @ verts
         r, z = pts[:, 0], pts[:, 1]
@@ -193,6 +191,42 @@ def test_galerkin_consistency_against_direct_quadrature(mesh4, kind, n):
     M_form = float(x_full @ (M_full @ y_full))
     assert K_form == pytest.approx(K_direct, rel=1e-12)
     assert M_form == pytest.approx(M_direct, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [("TA", 0), ("TA", 1), ("TB", 1), ("TC(1,2)", 0), ("TC(1,1)", 1), ("TD", 2)],
+)
+def test_galerkin_consistency_against_direct_quadrature(mesh4, kind, n):
+    _check_against_direct_quadrature(mesh4, kind, n)
+
+
+def _uneven_rows(z):
+    # rows 0-1 and 3-4 keep one height (true z-translates); rows 2 and 5 differ
+    return np.interp(z, np.linspace(0.0, 1.5, 7), [0.0, 0.2, 0.4, 0.75, 0.95, 1.15, 1.6])
+
+
+_STRETCHES = {
+    "uniform": (lambda r: r, lambda z: z),
+    # graded columns and rows of unequal height
+    "graded": (lambda r: r * (1.0 + 0.3 * r), _uneven_rows),
+    # one geometric ratio in r and z: cells along a diagonal are similar
+    # triangles of different size, never translates
+    "geometric": (lambda r: (1.5**r - 1.0) / 0.5, lambda z: (1.5**z - 1.0) / 0.5),
+}
+
+
+@pytest.mark.parametrize("stretch", list(_STRETCHES))
+@pytest.mark.parametrize("kind", ["TA", "TC(1,1)"])
+def test_translate_sharing_matches_direct_quadrature(kind, stretch):
+    """Element matrices are shared only between z-translates: on six rows
+    over four columns, uniform or with node coordinates moved column by
+    column and row by row, the forms still match direct quadrature."""
+    mesh = build_structured(1.0, 1.5, 4)
+    assert mesh.n_z == 6
+    r_map, z_map = _STRETCHES[stretch]
+    nodes = np.column_stack([r_map(mesh.nodes[:, 0]), z_map(mesh.nodes[:, 1])])
+    _check_against_direct_quadrature(dataclasses.replace(mesh, nodes=nodes), kind, 1)
 
 
 def test_matrix_dump_roundtrip(tmp_path, mesh4, pair4):

@@ -240,3 +240,19 @@ def test_lanczos_nonconvergence_retried_once(coupled_pencil, monkeypatch):
     with pytest.raises(EigenSolverError, match=r"k=\d+, ncv=\d+, sigma="):
         solve(coupled_pencil, k=5, hint=10.0)
     assert calls == [calls[0], 2 * calls[0] + 10]
+
+
+def test_first_lanczos_attempt_has_the_smaller_restart_budget(coupled_pencil, monkeypatch):
+    import axicav.eigen as eigen_mod
+
+    budgets = []
+
+    def stalled_eigsh(*args, **kwargs):
+        budgets.append(kwargs["maxiter"])
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
+    monkeypatch.setattr(eigen_mod, "eigsh", stalled_eigsh)
+    with pytest.raises(EigenSolverError):
+        solve(coupled_pencil, k=5, hint=10.0)
+    assert budgets == [eigen_mod.FIRST_MAXITER, eigen_mod.RETRY_MAXITER]
