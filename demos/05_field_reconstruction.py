@@ -23,8 +23,10 @@ j01 = bessel_zero(0, 1)
 mesh = build_structured(1.0, 1.0, 16)
 pair = build_pair(mesh, 2, 2)
 tr = Transformation("TB")
-problem = ModeProblem(mesh=mesh, n=0, transformation=tr, q=2, p=2, quad_degree=7)
-pencil = assemble(problem, pair).block("hcurl")  # n = 0: blocks decouple
+# n = 0: the pair decouples, so only the in-plane block is assembled
+problem = ModeProblem(mesh=mesh, n=0, transformation=tr, q=2, p=2, quad_degree=7,
+                      block="inplane")
+pencil = assemble(problem, pair)
 
 spectrum = solve(pencil, k=3, hint=j01**2)
 lam = spectrum.eigenvalues[np.argmin(np.abs(spectrum.eigenvalues - j01**2))]

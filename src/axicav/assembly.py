@@ -18,7 +18,7 @@ to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import sparse
@@ -26,6 +26,7 @@ from scipy import sparse
 from .fespace import FeSpacePair, discrete_gradient
 from .formulation import (
     ModeProblem,
+    TransformedValues,
     axis_conditions,
     curl_of_bundle,
     gradient_kernel_coefficient,
@@ -54,7 +55,7 @@ class AssembledPencil:
     for which range [I; c G] is exactly the kernel of K (see
     formulation.gradient_kernel_coefficient); the dense eigensolver then
     deflates that kernel instead of computing it.  None where the kernel
-    has no such form, and on extracted blocks.
+    has no such form.
     """
 
     K: sparse.csr_matrix
@@ -75,28 +76,6 @@ class AssembledPencil:
         full = np.zeros(self.ndof_full, dtype=x.dtype)
         full[self.free_to_full] = x
         return full
-
-    def block(self, which: str) -> "AssembledPencil":
-        """Extract the scalar ('h1') or vector ('hcurl') diagonal block.
-
-        Meaningful for n = 0, where the two blocks decouple exactly.
-        """
-        if which == "h1":
-            sel = self.free_to_full < self.n_h1
-        elif which == "hcurl":
-            sel = self.free_to_full >= self.n_h1
-        else:
-            raise ValueError(f"unknown block {which!r}")
-        idx = np.nonzero(sel)[0]
-        return AssembledPencil(
-            K=self.K[idx][:, idx].tocsr(),
-            M=self.M[idx][:, idx].tocsr(),
-            ndof_full=self.ndof_full,
-            n_h1=self.n_h1,
-            free_to_full=self.free_to_full[idx],
-            constrained=self.constrained,
-            n_free_h1=int(np.sum(self.free_to_full[idx] < self.n_h1)),
-        )
 
     def offdiagonal_block(self, which: str = "K") -> np.ndarray:
         """Dense H1-x-H(curl) coupling block (for decoupling checks)."""
@@ -161,8 +140,18 @@ def _gram(A: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.transpose(0, 2, 1))
 
 
+def _block_slices(problem: ModeProblem, pair: FeSpacePair):
+    """(local basis columns, combined dofs) of the problem's block; both
+    list the scalar unknowns first, then the vector ones."""
+    nloc_h1 = pair.h1.cell_dofs.shape[1]
+    return {"full": (slice(None), slice(None)),
+            "azimuthal": (slice(None, nloc_h1), slice(None, pair.n_h1)),
+            "inplane": (slice(nloc_h1, None), slice(pair.n_h1, None))}[problem.block]
+
+
 def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
-    """Unconstrained stiffness and mass matrices (K_full, M_full) in CSR."""
+    """Unconstrained stiffness and mass matrices (K_full, M_full) in CSR,
+    in the full combined numbering with entries in the problem's block only."""
     mesh = problem.mesh
     tr, n = problem.transformation, problem.n
     rule = rule_for_degree(problem.quad_degree)
@@ -174,13 +163,15 @@ def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
     verts = mesh.nodes[mesh.triangles]
     dets = np.abs(mesh.triangle_areas() * 2.0)
     ndof = pair.n_total
+    cols, _ = _block_slices(problem, pair)
     # int32 like the indices of the CSR conversion, so no COO index is copied
-    cell_dofs = pair.combined_cell_dofs().astype(np.int32)
+    cell_dofs = pair.combined_cell_dofs()[:, cols].astype(np.int32)
     nloc = cell_dofs.shape[1]
 
     rows_all, cols_all, kvals_all, mvals_all = [], [], [], []
 
     for els, local in pair.local_basis(bary):
+        local = TransformedValues(*(getattr(local, f.name)[:, :, cols] for f in fields(local)))
         # the class fixes shape, size and edge flips, so elements with equal
         # vertex r are z-translates: one element matrix each, then gathered
         _, first, inverse = np.unique(
@@ -230,10 +221,13 @@ def _kernel_map(problem: ModeProblem, pair: FeSpacePair, free: np.ndarray, n_fre
 
 
 def assemble(problem: ModeProblem, pair: FeSpacePair) -> AssembledPencil:
-    """Assemble and reduce the pencil for the given mode problem."""
+    """Assemble the problem's block and eliminate the constrained dofs."""
     K_full, M_full = _assemble_full(problem, pair)
     constrained = collect_constraints(problem, pair)
-    K, M, free = apply_constraints(K_full, M_full, constrained)
+    keep = np.zeros(pair.n_total, dtype=bool)
+    keep[_block_slices(problem, pair)[1]] = True
+    keep[constrained] = False
+    K, M, free = apply_constraints(K_full, M_full, np.nonzero(~keep)[0])
     n_free_h1 = int(np.sum(free < pair.n_h1))
     return AssembledPencil(
         K=K,

@@ -52,6 +52,8 @@ def _run_study(kind: str, config_path: str) -> int:
     cfg = load_study_config(config_path)
     if cfg.study != kind:
         raise ConfigError(f"config file declares study={cfg.study!r}, command is {kind!r}")
+    if cfg.output is None:
+        raise ConfigError("config must name an output CSV path")
     gate_ok = True
 
     if kind == "converge":
@@ -88,8 +90,6 @@ def _run_study(kind: str, config_path: str) -> int:
         for label, expo in exponents.items():
             print(f"{label}: axis exponent {expo:.3f}")
 
-    if cfg.output is None:
-        raise ConfigError("config must name an output CSV path")
     write_csv(rows, cfg.output)
     print(f"wrote {len(rows)} rows to {cfg.output}")
     return 0 if gate_ok else 4

@@ -12,10 +12,10 @@ into diag(0, K_vv), and eliminating w leaves K_vv y = lambda S y on the
 vector unknowns, S the Schur complement of the transformed mass T^T M T.
 That pencil has no kernel, so a window solve computes only the eigenpairs
 up to its upper end, kernel_count is n_free_h1 and nothing is thresholded.
-Pencils without a map (n = 0, TD with |n| > 1, extracted blocks) are solved
-in full, and eigenvalues below a relative threshold are classified as
-kernel and removed before any spectrum matching.  Residuals are always
-checked on the original pencil.
+Pencils without a map (n = 0, TD with |n| > 1) are solved in full, and
+eigenvalues below a relative threshold are classified as kernel and
+removed before any spectrum matching.  Residuals are always checked on
+the original pencil.
 
 Above DENSE_DIM, shift-invert Lanczos iterations are used, and
 the shift placement must respect the kernel: under theta = 1/(lambda -

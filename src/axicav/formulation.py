@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 KINDS = ("TA", "TB", "TC", "TD")
+BLOCKS = ("full", "azimuthal", "inplane")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,12 @@ class Material:
 
 @dataclass(frozen=True)
 class ModeProblem:
-    """Discrete eigenproblem description for one azimuthal mode number."""
+    """Discrete eigenproblem description for one azimuthal mode number.
+
+    block selects the unknowns: "full" (coupled pair), or for n = 0, where
+    the pair decouples exactly, "azimuthal" (scalar unknown only) or
+    "inplane" (vector unknown only).
+    """
 
     mesh: CrossSectionMesh
     n: int
@@ -112,8 +118,14 @@ class ModeProblem:
     p: int
     quad_degree: int
     material: Material = Material()
+    block: str = "full"
 
     def __post_init__(self):
+        if self.block not in BLOCKS:
+            raise ValueError(f"unknown block {self.block!r}")
+        if self.block != "full" and self.n != 0:
+            raise ValueError(f"the pair decouples only at n = 0; block {self.block!r} "
+                             f"with n={self.n} would drop its coupling")
         if self.q < 1 or self.p < 1:
             raise ValueError("orders must satisfy q >= 1 and p >= 1")
         if self.q < self.p:
@@ -395,7 +407,7 @@ def polynomial_threshold_degree(transformation: Transformation, n: int,
     "azimuthal" (scalar unknown only), "inplane", or "full".
     """
     kind = transformation.kind
-    if block not in ("full", "azimuthal", "inplane"):
+    if block not in BLOCKS:
         raise ValueError(f"unknown block {block!r}")
     if n == 0:
         if block == "inplane" and kind in ("TB", "TC", "TD"):

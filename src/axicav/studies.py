@@ -7,9 +7,9 @@ reruns.  The default cavity is the unit pillbox (R = L = 1, c0 = 1): all
 reported quantities are relative frequency errors and log-log slopes, which
 are dimension independent.
 
-For n = 0 the scalar and vector unknowns decouple exactly: TE targets are
-solved on the scalar (azimuthal) block standalone with the in-plane order p
-recorded as absent, TM targets on the in-plane block.
+For n = 0 the scalar and vector unknowns decouple exactly, and only the
+target's block is assembled: the azimuthal (scalar) block for TE targets,
+with the in-plane order p recorded as absent, the in-plane block for TM.
 """
 
 from __future__ import annotations
@@ -324,17 +324,13 @@ def load_study_config(path) -> StudyConfig:
 def _block_for(cfg: StudyConfig) -> str:
     if cfg.n != 0 or cfg.target is None:
         return "full"
-    return "h1" if cfg.target.family == "TE" else "hcurl"
-
-
-# pencil block -> block name of polynomial_threshold_degree
-_THRESHOLD_BLOCK = {"h1": "azimuthal", "hcurl": "inplane", "full": "full"}
+    return "azimuthal" if cfg.target.family == "TE" else "inplane"
 
 
 def _quad_degree(cfg: StudyConfig, tr: Transformation, q: int, p: int, block: str) -> int:
     if cfg.quad_degree is not None:
         return cfg.quad_degree
-    th = polynomial_threshold_degree(tr, cfg.n, q, p, block=_THRESHOLD_BLOCK[block])
+    th = polynomial_threshold_degree(tr, cfg.n, q, p, block=block)
     if th is None:
         raise ConfigError(
             f"{tr.label()} with n={cfg.n} has non-polynomial integrands; "
@@ -347,11 +343,9 @@ def _assemble_pencil(cfg: StudyConfig, tr: Transformation, q: int, p: int,
                      N: int, D: int, block: str):
     mesh = build_structured(cfg.R, cfg.L, N)
     pair = build_pair(mesh, q, p)
-    problem = ModeProblem(mesh=mesh, n=cfg.n, transformation=tr, q=q, p=p, quad_degree=D)
-    pencil = assemble(problem, pair)
-    if block != "full":
-        pencil = pencil.block(block)
-    return mesh, pair, pencil
+    problem = ModeProblem(mesh=mesh, n=cfg.n, transformation=tr, q=q, p=p,
+                          quad_degree=D, block=block)
+    return mesh, pair, assemble(problem, pair)
 
 
 def _target_omega(cfg: StudyConfig, tr: Transformation, q: int, p: int,
@@ -359,9 +353,7 @@ def _target_omega(cfg: StudyConfig, tr: Transformation, q: int, p: int,
     """Solve near the target mode; returns (omega, pencil data for reuse)."""
     lam_t = cfg.target.lam(cfg.R, cfg.L)
     mesh, pair, pencil = _assemble_pencil(cfg, tr, q, p, N, D, block)
-    families = ("TM", "TE") if block == "full" else (
-        ("TE",) if block == "h1" else ("TM",)
-    )
+    families = {"full": ("TM", "TE"), "azimuthal": ("TE",), "inplane": ("TM",)}[block]
     below = [
         md for md in pillbox_spectrum(cfg.R, cfg.L, cfg.n, lam_t * 1.05, families)
         if md.lam > 0.5 * lam_t
@@ -441,9 +433,7 @@ def run_quadrature_sweep(cfg: StudyConfig):
             )
             seq.append((D, omega))
             rows.append(_target_row(cfg, tr, q, p, D, N, pencil, omega, omega_t))
-        threshold = polynomial_threshold_degree(
-            tr, cfg.n, q, p, block=_THRESHOLD_BLOCK[block]
-        )
+        threshold = polynomial_threshold_degree(tr, cfg.n, q, p, block=block)
         flag = False
         if threshold is not None:
             shifts = [
@@ -504,7 +494,7 @@ def run_alphabeta_scan(cfg: StudyConfig):
             raise ConfigError("alphabeta scan accepts only TC transformations")
     rows, by_label = run_convergence(cfg)
     slopes = {(tr.alpha, tr.beta): by_label[tr.label()] for tr in cfg.transforms}
-    scalar_block = _block_for(cfg) == "h1"
+    scalar_block = _block_for(cfg) == "azimuthal"
     rate = 2 * q if scalar_block else 2 * p
     table = convergent_tc_params(cfg.n)
     expected = {(a, b): (None if cfg.n == 0 else a, b) in table for a, b in slopes}

@@ -46,6 +46,21 @@ def test_n0_block_diagonal_exact(mesh4, pair4):
             assert np.abs(off).max() == 0.0
 
 
+@pytest.mark.parametrize("kind", ["TA", "TB", Transformation("TC", 1.0, 2.0)],
+                         ids=["TA", "TB", "TC(1,2)"])
+@pytest.mark.parametrize("block", ["azimuthal", "inplane"])
+def test_n0_block_pencil_is_the_diagonal_block(mesh4, pair4, kind, block):
+    full = assemble(_problem(mesh4, kind=kind, n=0), pair4)
+    pen = assemble(_problem(mesh4, kind=kind, n=0, block=block), pair4)
+    scalar = full.free_to_full < full.n_h1
+    idx = np.nonzero(scalar if block == "azimuthal" else ~scalar)[0]
+    np.testing.assert_array_equal(pen.free_to_full, full.free_to_full[idx])
+    assert pen.n_free_h1 == (len(idx) if block == "azimuthal" else 0)
+    for A, B in ((pen.K, full.K), (pen.M, full.M)):
+        ref = B[idx][:, idx].toarray()
+        assert np.abs(A.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_mass_positive_definite(mesh4, pair4):
     pen = assemble(_problem(mesh4), pair4)
     rng = np.random.default_rng(0)

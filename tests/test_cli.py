@@ -117,3 +117,17 @@ def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
         "mesh_ladder = 2,4\nquad_degree = auto\ntarget = TE,1,1,1\noutput = x.csv\n"
     )
     assert main(["converge", "--config", str(cfg)]) == 3
+
+
+def test_missing_output_fails_before_the_study_runs(tmp_path, capsys, monkeypatch):
+    from axicav import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_convergence", lambda cfg: calls.append(cfg))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "study = converge\ntransforms = TC(1,1)\nn = 1\nq = 2\np = 1\n"
+        "mesh_ladder = 4,8,16\nquad_degree = auto\ntarget = TE,1,1,1\n"
+    )
+    assert main(["converge", "--config", str(cfg)]) == 2
+    assert calls == []

@@ -83,8 +83,8 @@ def test_azimuthal_block_has_empty_kernel():
     mesh = build_structured(1.0, 1.0, 4)
     pair = build_pair(mesh, 2, 1)
     prob = ModeProblem(mesh=mesh, n=0, transformation=Transformation("TB"),
-                       q=2, p=1, quad_degree=8)
-    pen = assemble(prob, pair).block("h1")
+                       q=2, p=1, quad_degree=8, block="azimuthal")
+    pen = assemble(prob, pair)
     spec = solve(pen)
     assert spec.kernel_count == 0
     assert spec.eigenvalues.min() > 1.0

@@ -323,3 +323,13 @@ def test_mode_problem_policy():
                     q=2, p=1, quad_degree=4)  # beta must be 1 for |n| = 1
     ModeProblem(mesh=mesh, n=1, transformation=Transformation("TB"), q=2, p=2,
                 quad_degree=4)  # q = p allowed (spurious reproduction)
+
+
+@pytest.mark.parametrize("n, block", [(1, "azimuthal"), (1, "inplane"), (-2, "inplane"),
+                                      (0, "h1"), (0, "vector")])
+def test_mode_problem_rejects_block(n, block):
+    # the blocks decouple only at n = 0; elsewhere a block drops real coupling
+    mesh = build_structured(1.0, 1.0, 2)
+    with pytest.raises(ValueError, match="block"):
+        ModeProblem(mesh=mesh, n=n, transformation=Transformation("TB"), q=2, p=2,
+                    quad_degree=4, block=block)

@@ -264,8 +264,9 @@ def test_reconstruct_field_n0_axisymmetric_tm010_shape():
     mesh = build_structured(1.0, 1.0, 8)
     pair = build_pair(mesh, 2, 2)
     tr = Transformation("TB")
-    prob = ModeProblem(mesh=mesh, n=0, transformation=tr, q=2, p=2, quad_degree=7)
-    pen = assemble(prob, pair).block("hcurl")
+    prob = ModeProblem(mesh=mesh, n=0, transformation=tr, q=2, p=2, quad_degree=7,
+                       block="inplane")
+    pen = assemble(prob, pair)
     lam_t = AnalyticTarget("TM", 0, 1, 0).lam(1.0, 1.0)
     spec = solve(pen, k=2, hint=lam_t)
     i = int(np.argmin(np.abs(spec.eigenvalues - lam_t)))
