@@ -36,6 +36,12 @@ __all__ = [
     "export_modes_csv",
 ]
 
+GROUP_RTOL = 1e-9  # relative frequency spread of one degenerate group
+# estimate_match_tol: MATCH_TOL_FACTOR times the observed error, within [FLOOR, CAP]
+MATCH_TOL_FACTOR = 10.0
+MATCH_TOL_FLOOR = 1e-6
+MATCH_TOL_CAP = 0.05
+
 # scipy.special is imported on first use: it would add about 75 ms, some
 # 12%, to `import axicav`, and setting a study up does not need it.
 
@@ -106,11 +112,11 @@ def pillbox_spectrum(R: float, L: float, n: int, lam_max: float,
     return modes
 
 
-def group_modes(modes, rtol: float = 1e-9):
-    """Group modes with (relatively) equal frequency; returns (omega, [modes])."""
+def group_modes(modes):
+    """Group modes whose frequencies agree to GROUP_RTOL; returns (omega, [modes])."""
     groups = []
     for md in modes:
-        if groups and abs(md.omega - groups[-1][0]) <= rtol * groups[-1][0]:
+        if groups and abs(md.omega - groups[-1][0]) <= GROUP_RTOL * groups[-1][0]:
             groups[-1][1].append(md)
         else:
             groups.append((md.omega, [md]))
@@ -157,22 +163,23 @@ def match_spectra(computed_lams, analytic_modes, rel_tol: float) -> MatchReport:
     return MatchReport(pairs=pairs, spurious=spurious, missed=missed)
 
 
-def estimate_match_tol(computed_lams, analytic_modes, factor: float = 10.0,
-                       floor: float = 1e-6, cap: float = 0.05) -> float:
+def estimate_match_tol(computed_lams, analytic_modes) -> float:
     """Mesh-dependent matching tolerance.
 
     The error estimate is the largest nearest-neighbor relative frequency
     distance from an analytic mode to the computed spectrum, capped so a
     genuinely missing mode cannot balloon the tolerance; the tolerance is
-    'factor' times that estimate with an absolute floor.
+    MATCH_TOL_FACTOR times that estimate, at least MATCH_TOL_FLOOR, and
+    MATCH_TOL_CAP for an empty computed spectrum.
     """
     computed = np.sqrt(np.asarray(computed_lams, dtype=float))
     if computed.size == 0:
-        return cap
+        return MATCH_TOL_CAP
     est = 0.0
     for md in analytic_modes:
         est = max(est, np.min(np.abs(computed - md.omega)) / md.omega)
-    return float(max(floor, factor * min(est, cap / factor)))
+    return float(max(MATCH_TOL_FLOOR,
+                     MATCH_TOL_FACTOR * min(est, MATCH_TOL_CAP / MATCH_TOL_FACTOR)))
 
 
 def export_modes_csv(modes, path) -> None:

@@ -66,17 +66,21 @@ class Spectrum:
     kernel_threshold: float
     residuals: np.ndarray
     method: str
-    kernel_exact: bool  # kernel deflated exactly: nothing was thresholded
+
+    @property
+    def kernel_exact(self) -> bool:
+        """Kernel deflated exactly: nothing was thresholded."""
+        return self.kernel_threshold == 0.0
 
 
-def filter_kernel(raw: np.ndarray, threshold_scale: float = KERNEL_REL):
+def filter_kernel(raw: np.ndarray):
     """Partition eigenvalues into kernel (lambda < tau) and physical.
 
-    tau = threshold_scale * max(1, largest computed eigenvalue).
+    tau = KERNEL_REL * max(1, largest computed eigenvalue).
     """
     raw = np.asarray(raw, dtype=float)
     lam_max = raw.max() if raw.size else 1.0
-    tau = threshold_scale * max(1.0, lam_max)
+    tau = KERNEL_REL * max(1.0, lam_max)
     kernel = raw < tau
     return kernel, tau
 
@@ -145,15 +149,15 @@ def _dense_solve(pencil, lo=-np.inf, hi=np.inf, k=None) -> Spectrum:
     """
     if pencil.kernel_map is not None:
         vals, vecs = _deflated_dense(pencil, lo, hi, k)
-        kernel_count, tau, exact = pencil.n_free_h1, 0.0, True
+        kernel_count, tau = pencil.n_free_h1, 0.0
     else:
         vals, vecs = _eigh(pencil.K.toarray(), pencil.M.toarray())
         kernel, tau = filter_kernel(vals)
         idx = np.nonzero(~kernel & (vals > lo) & (vals <= hi))[0][:k]
         vals, vecs = vals[idx], vecs[:, idx]
-        kernel_count, exact = int(kernel.sum()), False
+        kernel_count = int(kernel.sum())
     res = _check_residuals(pencil.K, pencil.M, vals, vecs, "dense")
-    return Spectrum(vals, vecs, kernel_count, tau, res, "dense", exact)
+    return Spectrum(vals, vecs, kernel_count, tau, res, "dense")
 
 
 def _factorize(pencil, sigma: float):
@@ -240,7 +244,7 @@ def _refined_spectrum(pencil, lu, vals, vecs, kernel, tau, sigma, k, ncv) -> Spe
         vals, vecs = _refine(pencil, lu, vecs)
         where = f"shift-invert (sigma={sigma:.6g}, k={k}, ncv={ncv})"
         res = _check_residuals(pencil.K, pencil.M, vals, vecs, where)
-    return Spectrum(vals, vecs, int(kernel.sum()), tau, res, "shift-invert", False)
+    return Spectrum(vals, vecs, int(kernel.sum()), tau, res, "shift-invert")
 
 
 def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:

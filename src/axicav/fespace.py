@@ -223,10 +223,21 @@ def _element_classes(mesh: CrossSectionMesh, flips: np.ndarray | None = None):
     keys = np.round(shape_size * 1e12).astype(np.int64)
     if flips is not None:
         keys = np.hstack([keys, flips.astype(np.int64)])
-    _, first, class_of = np.unique(
+    keys, first, class_of = np.unique(
         keys, axis=0, return_index=True, return_inverse=True
     )
-    return class_of, first
+    # Congruent elements can round to neighbouring keys: a class joins the
+    # first (sorted) class within one unit of it in every coordinate.
+    root = np.arange(len(keys))
+    for c in range(1, len(keys)):
+        lo = np.searchsorted(keys[:c, 0], keys[c, 0] - 1)
+        diff = np.abs(keys[lo:c] - keys[c])
+        shape_near = diff[:, :7].max(axis=1) <= 1  # the 6 offsets and the size
+        near = np.nonzero(shape_near & (diff[:, 7:] == 0).all(axis=1))[0]
+        if near.size:
+            root[c] = root[lo + near[0]]
+    kept, root = np.unique(root, return_inverse=True)
+    return root[class_of], first[kept]
 
 
 def _edge_flips(mesh: CrossSectionMesh) -> np.ndarray:
@@ -455,15 +466,6 @@ def interpolate_h1(space: H1Space, f) -> np.ndarray:
     return np.asarray(f(space.dof_points[:, 0], space.dof_points[:, 1]), dtype=float)
 
 
-def _quadrature_samples(mesh: CrossSectionMesh, degree: int):
-    """Barycentric points of the degree rule on every element, and the
-    weights of a sampled 2-vector field (both components), |det J| included."""
-    rule = rule_for_degree(degree)
-    dets = np.abs(mesh.triangle_areas() * 2.0)
-    w = (dets[:, None] * rule.weights).ravel()
-    return rule.points, np.concatenate([w, w])
-
-
 def _sample_matrix(space: HCurlSpace, bary: np.ndarray) -> sparse.csr_matrix:
     """Sparse map from coefficients to the values of the space at the
     barycentric points of every element.
@@ -488,34 +490,32 @@ def _sample_matrix(space: HCurlSpace, bary: np.ndarray) -> sparse.csr_matrix:
     )
 
 
-def project_hcurl(space: HCurlSpace, f, degree: int | None = None) -> np.ndarray:
+def project_hcurl(space: HCurlSpace, f) -> np.ndarray:
     """Global L2 projection onto the space; exact for degree <= p fields.
 
-    f(r, z) must return the pair of component arrays (f_r, f_z).
+    f(r, z) must return the pair of component arrays (f_r, f_z).  The
+    integrals use the degree 2p + 2 rule.
     """
-    if degree is None:
-        degree = 2 * space.p + 2
     mesh = space.mesh
-    bary, w = _quadrature_samples(mesh, degree)
-    pts = np.einsum("qk,tkc->tqc", bary, mesh.nodes[mesh.triangles]).reshape(-1, 2)
+    rule = rule_for_degree(2 * space.p + 2)
+    w = (np.abs(mesh.triangle_areas() * 2.0)[:, None] * rule.weights).ravel()  # |det J| w
+    pts = np.einsum("qk,tkc->tqc", rule.points, mesh.nodes[mesh.triangles]).reshape(-1, 2)
     F = np.concatenate(f(pts[:, 0], pts[:, 1]))
-    P = _sample_matrix(space, bary)
-    PtW = P.T @ sparse.diags(w)
+    P = _sample_matrix(space, rule.points)
+    PtW = P.T @ sparse.diags(np.concatenate([w, w]))  # both components
     return splu((PtW @ P).tocsc()).solve(PtW @ F)
 
 
-def _local_gradients(pair: FeSpacePair, degree: int | None = None):
+def _local_gradients(pair: FeSpacePair):
     """Per element class, yields (element ids, X, residual).
 
     X (H(curl) local x H1 local) holds the H(curl) coefficients of the H1
     basis gradients: a QR least-squares fit of the gradients by the H(curl)
-    basis, both sampled at the points of a degree rule.  residual is the
-    largest pointwise misfit; with q <= p + 1 the gradients lie in the
-    space and it is at the rounding level.
+    basis, both sampled at the points of the degree 2 max(q, p) + 2 rule.
+    residual is the largest pointwise misfit; with q <= p + 1 the gradients
+    lie in the space and it is at the rounding level.
     """
-    if degree is None:
-        degree = 2 * max(pair.h1.q, pair.hcurl.p) + 2
-    rule = rule_for_degree(degree)
+    rule = rule_for_degree(2 * max(pair.h1.q, pair.hcurl.p) + 2)
     sqrt_w = np.sqrt(np.tile(rule.weights, 2))[:, None]  # both components
     n_s = pair.h1.cell_dofs.shape[1]
 
@@ -550,11 +550,11 @@ def discrete_gradient(pair: FeSpacePair) -> sparse.csr_matrix:
     )
 
 
-def gradient_inclusion_check(pair: FeSpacePair, degree: int | None = None) -> float:
+def gradient_inclusion_check(pair: FeSpacePair) -> float:
     """Max pointwise residual of representing every H1 basis gradient in H(curl).
 
     The largest residual of the local fits behind discrete_gradient.  With
     q = p + 1 the gradients are exactly representable and the residual is
     at the rounding level.
     """
-    return max(res for _, _, res in _local_gradients(pair, degree))
+    return max(res for _, _, res in _local_gradients(pair))

@@ -130,6 +130,7 @@ CSV_HEADER = (
 )
 
 _ROW_FIELDS = CSV_HEADER.split(",")
+SLOPE_POINTS = 3  # fit_slope uses the finest meshes only
 
 
 @dataclass
@@ -169,10 +170,10 @@ def write_csv(rows, path) -> None:
             fh.write(",".join(_fmt(getattr(row, f)) for f in _ROW_FIELDS) + "\n")
 
 
-def fit_slope(Ns, errors, points: int = 3) -> float:
-    """Least-squares slope of log(error) against log(1/N), last `points` entries."""
-    Ns = np.asarray(Ns, dtype=float)[-points:]
-    errs = np.asarray(errors, dtype=float)[-points:]
+def fit_slope(Ns, errors) -> float:
+    """Least-squares slope of log(error) against log(1/N), last SLOPE_POINTS entries."""
+    Ns = np.asarray(Ns, dtype=float)[-SLOPE_POINTS:]
+    errs = np.asarray(errors, dtype=float)[-SLOPE_POINTS:]
     if len(Ns) < 2:
         raise ValueError(f"slope fitting needs at least 2 points, got {len(Ns)}")
     if np.any(errs <= 0):
@@ -207,11 +208,17 @@ _KNOWN_KEYS = {f.name for f in fields(StudyConfig)}
 _STUDIES = ("converge", "spurious", "quadsweep", "alphabeta", "regularity")
 
 
-def _parse_int_list(text: str) -> tuple:
+def _parse_ladder(text: str, key: str, lowest: int) -> tuple:
+    """Comma list of integers >= lowest, strictly increasing (may be empty)."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        ladder = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad integer list {text!r}") from exc
+    if ladder and min(ladder) < lowest:
+        raise ConfigError(f"{key} entries must be >= {lowest}, got {min(ladder)}")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError(f"{key} must be strictly increasing")
+    return ladder
 
 
 def build_study_config(entries: dict) -> StudyConfig:
@@ -268,13 +275,9 @@ def build_study_config(entries: dict) -> StudyConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    mesh_ladder = _parse_int_list(entries.get("mesh_ladder", "4,8,16,32"))
+    mesh_ladder = _parse_ladder(entries.get("mesh_ladder", "4,8,16,32"), "mesh_ladder", 1)
     if not mesh_ladder:
         raise ConfigError("mesh_ladder is empty")
-    if min(mesh_ladder) < 1:
-        raise ConfigError(f"mesh_ladder entries must be >= 1, got {min(mesh_ladder)}")
-    if any(b <= a for a, b in zip(mesh_ladder, mesh_ladder[1:])):
-        raise ConfigError("mesh_ladder must be strictly increasing")
     if study in ("converge", "alphabeta") and len(mesh_ladder) < 2:
         raise ConfigError(
             f"study {study!r} fits a slope and needs at least 2 mesh_ladder entries"
@@ -291,7 +294,7 @@ def build_study_config(entries: dict) -> StudyConfig:
         p=geti("p"),
         mesh_ladder=mesh_ladder,
         quad_degree=geti("quad_degree"),
-        quad_degrees=_parse_int_list(entries.get("quad_degrees", "")),
+        quad_degrees=_parse_ladder(entries.get("quad_degrees", ""), "quad_degrees", 0),
         target=target,
         modes=modes,
         R=getf("R", 1.0),
@@ -322,38 +325,52 @@ def load_study_config(path) -> StudyConfig:
 
 
 def _block_for(cfg: StudyConfig) -> str:
-    if cfg.n != 0 or cfg.target is None:
+    """At n = 0 a target picks its decoupled block; the spurious scan counts
+    both families, so it keeps the full problem."""
+    if cfg.n != 0 or cfg.target is None or cfg.study == "spurious":
         return "full"
     return "azimuthal" if cfg.target.family == "TE" else "inplane"
 
 
-def _quad_degree(cfg: StudyConfig, tr: Transformation, q: int, p: int, block: str) -> int:
-    if cfg.quad_degree is not None:
-        return cfg.quad_degree
-    th = polynomial_threshold_degree(tr, cfg.n, q, p, block=block)
-    if th is None:
+def _threshold(cfg: StudyConfig, tr: Transformation) -> int | None:
+    q, p = cfg.orders()
+    return polynomial_threshold_degree(tr, cfg.n, q, p, block=_block_for(cfg))
+
+
+def _problem(cfg: StudyConfig, tr: Transformation, N: int, D: int | None = None) -> ModeProblem:
+    """The discrete problem of one solve on the N-subdivision mesh of the cavity;
+    D defaults to the configured quad_degree, else the polynomial threshold."""
+    if D is None:
+        D = cfg.quad_degree if cfg.quad_degree is not None else _threshold(cfg, tr)
+    if D is None:
         raise ConfigError(
             f"{tr.label()} with n={cfg.n} has non-polynomial integrands; "
             "an explicit quad_degree is required"
         )
-    return th
+    q, p = cfg.orders()
+    return ModeProblem(mesh=build_structured(cfg.R, cfg.L, N), n=cfg.n, transformation=tr,
+                       q=q, p=p, quad_degree=D, block=_block_for(cfg))
 
 
-def _assemble_pencil(cfg: StudyConfig, tr: Transformation, q: int, p: int,
-                     N: int, D: int, block: str):
-    mesh = build_structured(cfg.R, cfg.L, N)
-    pair = build_pair(mesh, q, p)
-    problem = ModeProblem(mesh=mesh, n=cfg.n, transformation=tr, q=q, p=p,
-                          quad_degree=D, block=block)
-    return mesh, pair, assemble(problem, pair)
+def _row(cfg: StudyConfig, problem: ModeProblem, pencil, **values) -> StudyRow:
+    """One study row of a solved problem; the in-plane order p is reported as
+    absent when the pencil holds scalar unknowns only (the standalone n = 0
+    scalar block)."""
+    tr, D = problem.transformation, problem.quad_degree
+    return StudyRow(
+        study=cfg.study, transform=tr.kind, alpha=tr.alpha, beta=tr.beta, n=problem.n,
+        p=problem.p if pencil.n_free_h1 < pencil.n_free else None, q=problem.q, D=D,
+        G=rule_for_degree(D).point_count, N=problem.mesh.N, free_dofs=pencil.n_free, **values,
+    )
 
 
-def _target_omega(cfg: StudyConfig, tr: Transformation, q: int, p: int,
-                  N: int, D: int, block: str):
-    """Solve near the target mode; returns (omega, pencil data for reuse)."""
+def _target_solve(cfg: StudyConfig, problem: ModeProblem):
+    """Solve near the target mode; returns the target's study row, and the
+    spectrum, the target's index in it, the pair and the pencil."""
     lam_t = cfg.target.lam(cfg.R, cfg.L)
-    mesh, pair, pencil = _assemble_pencil(cfg, tr, q, p, N, D, block)
-    families = {"full": ("TM", "TE"), "azimuthal": ("TE",), "inplane": ("TM",)}[block]
+    pair = build_pair(problem.mesh, problem.q, problem.p)
+    pencil = assemble(problem, pair)
+    families = {"full": ("TM", "TE"), "azimuthal": ("TE",), "inplane": ("TM",)}[problem.block]
     below = [
         md for md in pillbox_spectrum(cfg.R, cfg.L, cfg.n, lam_t * 1.05, families)
         if md.lam > 0.5 * lam_t
@@ -361,36 +378,17 @@ def _target_omega(cfg: StudyConfig, tr: Transformation, q: int, p: int,
     k = len(below) + 5
     spec = solve(pencil, k=k, hint=lam_t)
     idx = int(np.argmin(np.abs(spec.eigenvalues - lam_t)))
-    lam = spec.eigenvalues[idx]
-    omega = math.sqrt(lam)
+    omega = math.sqrt(spec.eigenvalues[idx])
     omega_t = math.sqrt(lam_t)
     if abs(omega - omega_t) > 0.25 * omega_t:
         raise TargetNotMatchedError(
-            f"{tr.label()} N={N}: target {cfg.target.mode_id} at omega={omega_t:.6g} "
-            f"not matched; nearest computed omega={omega:.6g}, "
-            f"window={np.sqrt(spec.eigenvalues).round(4).tolist()}"
+            f"{problem.transformation.label()} N={problem.mesh.N}: target "
+            f"{cfg.target.mode_id} at omega={omega_t:.6g} not matched; nearest computed "
+            f"omega={omega:.6g}, window={np.sqrt(spec.eigenvalues).round(4).tolist()}"
         )
-    return omega, omega_t, spec, idx, mesh, pair, pencil
-
-
-def _row(cfg: StudyConfig, tr: Transformation, q: int, p: int, D: int, N: int,
-         pencil, **values) -> StudyRow:
-    """One study row; the in-plane order p is reported as absent when the
-    pencil holds scalar unknowns only (the standalone n = 0 scalar block)."""
-    return StudyRow(
-        study=cfg.study, transform=tr.kind, alpha=tr.alpha, beta=tr.beta, n=cfg.n,
-        p=p if pencil.n_free_h1 < pencil.n_free else None, q=q, D=D,
-        G=rule_for_degree(D).point_count, N=N, free_dofs=pencil.n_free, **values,
-    )
-
-
-def _target_row(cfg: StudyConfig, tr: Transformation, q: int, p: int, D: int, N: int,
-                pencil, omega: float, omega_t: float, **values) -> StudyRow:
-    """Study row of the computed target frequency against the analytic one."""
-    return _row(
-        cfg, tr, q, p, D, N, pencil, mode_id=cfg.target.mode_id, omega_numeric=omega,
-        omega_analytic=omega_t, rel_error=abs(omega - omega_t) / omega_t, **values,
-    )
+    row = _row(cfg, problem, pencil, mode_id=cfg.target.mode_id, omega_numeric=omega,
+               omega_analytic=omega_t, rel_error=abs(omega - omega_t) / omega_t)
+    return row, spec, idx, pair, pencil
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +397,11 @@ def _target_row(cfg: StudyConfig, tr: Transformation, q: int, p: int, D: int, N:
 
 def run_convergence(cfg: StudyConfig):
     """Relative eigenfrequency error per mesh plus a fitted slope per transform."""
-    q, p = cfg.orders()
-    block = _block_for(cfg)
     rows, slopes = [], {}
     for tr in cfg.transforms:
-        D = _quad_degree(cfg, tr, q, p, block)
         errs = []
         for N in cfg.mesh_ladder:
-            omega, omega_t, spec, _, _, _, pencil = _target_omega(
-                cfg, tr, q, p, N, D, block
-            )
-            rows.append(_target_row(cfg, tr, q, p, D, N, pencil, omega, omega_t))
+            rows.append(_target_solve(cfg, _problem(cfg, tr, N))[0])
             errs.append(rows[-1].rel_error)
         slope = fit_slope(cfg.mesh_ladder, errs)
         rows[-1].slope = slope
@@ -421,19 +413,14 @@ def run_quadrature_sweep(cfg: StudyConfig):
     """Error per quadrature degree at fixed mesh; flags degree-stable transforms."""
     if not cfg.quad_degrees:
         raise ConfigError("quadsweep requires quad_degrees")
-    q, p = cfg.orders()
-    block = _block_for(cfg)
     N = cfg.mesh_ladder[-1]
     rows, stable, omegas = [], {}, {}
     for tr in cfg.transforms:
         seq = []
         for D in cfg.quad_degrees:
-            omega, omega_t, spec, _, _, _, pencil = _target_omega(
-                cfg, tr, q, p, N, D, block
-            )
-            seq.append((D, omega))
-            rows.append(_target_row(cfg, tr, q, p, D, N, pencil, omega, omega_t))
-        threshold = polynomial_threshold_degree(tr, cfg.n, q, p, block=block)
+            rows.append(_target_solve(cfg, _problem(cfg, tr, N, D))[0])
+            seq.append((D, rows[-1].omega_numeric))
+        threshold = _threshold(cfg, tr)
         flag = False
         if threshold is not None:
             shifts = [
@@ -459,23 +446,21 @@ def _first_modes(R: float, L: float, n: int, count: int):
 
 def run_spurious_scan(cfg: StudyConfig):
     """Spurious-mode counts against the first `modes` analytic frequencies."""
-    q, p = cfg.orders()
     rows, counts = [], {}
     modes_all = _first_modes(cfg.R, cfg.L, cfg.n, cfg.modes + 1)
     window = modes_all[: cfg.modes]
     lam_cut = 0.5 * (modes_all[cfg.modes - 1].lam + modes_all[cfg.modes].lam)
     for tr in cfg.transforms:
-        D = _quad_degree(cfg, tr, q, p, "full")
         for N in cfg.mesh_ladder:
-            mesh, pair, pencil = _assemble_pencil(cfg, tr, q, p, N, D, "full")
+            problem = _problem(cfg, tr, N)
+            pencil = assemble(problem, build_pair(problem.mesh, problem.q, problem.p))
             spec = solve_window(
                 pencil, lam_cut, 0.02 * modes_all[0].lam, expect=cfg.modes + 8
             )
             tol = estimate_match_tol(spec.eigenvalues, window)
             report = match_spectra(spec.eigenvalues, window, tol)
             counts[(tr.label(), N)] = report.spurious_count
-            rows.append(_row(cfg, tr, q, p, D, N, pencil,
-                             spurious_count=report.spurious_count))
+            rows.append(_row(cfg, problem, pencil, spurious_count=report.spurious_count))
     return rows, counts
 
 
@@ -507,20 +492,17 @@ def run_regularity(cfg: StudyConfig):
 
     The exponent is written to the slope column of the emitted rows.
     """
-    q, p = cfg.orders()
     if cfg.n == 0:
         raise ConfigError("the regularity probe needs a coupled mode (n != 0)")
     rows, exponents = [], {}
     N = cfg.mesh_ladder[-1]
     for tr in cfg.transforms:
-        D = _quad_degree(cfg, tr, q, p, "full")
-        omega, omega_t, spec, idx, mesh, pair, pencil = _target_omega(
-            cfg, tr, q, p, N, D, "full"
-        )
+        problem = _problem(cfg, tr, N)
+        row, spec, idx, pair, pencil = _target_solve(cfg, problem)
         vec = pencil.expand(spec.eigenvectors[:, idx])
-        exponent = axis_regularity_probe(mesh, pair, vec)
-        exponents[tr.label()] = exponent
-        rows.append(_target_row(cfg, tr, q, p, D, N, pencil, omega, omega_t, slope=exponent))
+        row.slope = axis_regularity_probe(problem.mesh, pair, vec)
+        exponents[tr.label()] = row.slope
+        rows.append(row)
     return rows, exponents
 
 

@@ -180,6 +180,15 @@ def test_gradient_inclusion_on_finer_mesh(orders):
     assert gradient_inclusion_check(pair) < 1e-10
 
 
+@pytest.mark.parametrize("N", [4, 6, 8, 12, 16, 32])
+def test_congruent_elements_share_one_class(N):
+    # The congruent elements of this cavity round to neighbouring integers of
+    # the 1e12-scaled class key; they still form one class per shape.
+    mesh = build_structured(0.572262968623144, 0.5777397078975871, N)
+    assert len(build_h1(mesh, 2)._elements) == 2
+    assert len(build_hcurl(mesh, 1)._elements) == 2
+
+
 @pytest.mark.parametrize("orders", [(2, 1), (3, 2), (4, 3)])
 def test_discrete_gradient_of_interpolated_polynomials(orders):
     q, p = orders

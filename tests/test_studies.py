@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from axicav import studies
 from axicav.formulation import Transformation
 from axicav.studies import (
     AnalyticTarget,
@@ -171,6 +173,13 @@ def test_single_mesh_ladder_valid_without_slope_fit(study):
     assert cfg.mesh_ladder == (32,)
 
 
+@pytest.mark.parametrize("ladder", ["9,15,5", "5,9,9", "-1,5,9"])
+def test_quad_degrees_must_increase_from_zero(ladder):
+    # The stability flag compares neighbouring degrees, so their order matters.
+    with pytest.raises(ConfigError, match="quad_degrees"):
+        build_study_config(_entries("quadsweep", mesh_ladder="6", quad_degrees=ladder))
+
+
 def test_fit_slope_needs_two_points():
     with pytest.raises(ValueError):
         fit_slope([32], [1e-3])
@@ -286,3 +295,39 @@ def test_reconstruct_field_n0_axisymmetric_tm010_shape():
     for r in (0.25, 0.55, 0.85):
         e = reconstruct_field(pair, tr, 0, vec, r, 0.0, 0.5)
         assert e[2] / near[2] == pytest.approx(bessel_j(0, j01 * r), abs=2e-4)
+
+
+# The layer names a study calls through the axicav.studies module namespace.
+_LAYER_NAMES = ("build_structured", "build_pair", "rule_for_degree", "assemble", "solve",
+                "solve_window", "pillbox_spectrum", "estimate_match_tol", "match_spectra")
+
+_TINY_STUDIES = {
+    "converge": ({"transforms": "TB", "mesh_ladder": "2,3"}, studies.run_convergence),
+    "quadsweep": ({"transforms": "TB", "mesh_ladder": "2", "quad_degrees": "4,6"},
+                  studies.run_quadrature_sweep),
+    "spurious": ({"transforms": "TB", "mesh_ladder": "2,3", "modes": "3"},
+                 studies.run_spurious_scan),
+    "alphabeta": ({"transforms": "TC(1,1)", "mesh_ladder": "2,3"}, studies.run_alphabeta_scan),
+    "regularity": ({"transforms": "TC(1,1)", "mesh_ladder": "4"}, studies.run_regularity),
+}
+
+
+@pytest.mark.parametrize("study", sorted(_TINY_STUDIES))
+def test_studies_call_the_layers_through_the_module(study, monkeypatch):
+    calls = Counter()
+    for name in _LAYER_NAMES:
+        def counted(*args, _name=name, _original=getattr(studies, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(studies, name, counted)
+    extra, runner = _TINY_STUDIES[study]
+    rows = runner(build_study_config(_entries(study, p="1", **extra)))[0]
+    eigen, other = ("solve_window", "solve") if study == "spurious" else ("solve", "solve_window")
+    assert len(rows) > 0
+    for name in ("build_structured", "build_pair", "assemble", eigen):
+        assert calls[name] == len(rows), name
+    assert calls[other] == 0
+    assert calls["rule_for_degree"] >= len(rows)
+    assert calls["pillbox_spectrum"] >= 1
+    matches = len(rows) if study == "spurious" else 0
+    assert calls["estimate_match_tol"] == calls["match_spectra"] == matches
