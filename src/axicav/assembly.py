@@ -54,8 +54,9 @@ class AssembledPencil:
     kernel_map, when set, is the sparse (free vector x free scalar) map c G
     for which range [I; c G] is exactly the kernel of K (see
     formulation.gradient_kernel_coefficient); the dense eigensolver then
-    deflates that kernel instead of computing it.  None where the kernel
-    has no such form.
+    deflates that kernel instead of computing it, and the shift-invert
+    window solve projects it out of Lanczos.  None where the kernel has no
+    such form.
     """
 
     K: sparse.csr_matrix

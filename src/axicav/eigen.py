@@ -27,14 +27,21 @@ algebraic thetas are exactly the physical modes above sigma).  The window
 solve shifts inside the window: every window eigenvalue is closer to sigma
 than the kernel is, nearest-first convergence enumerates the window from
 the inside out, and the largest returned |lambda - sigma| certifies how
-much of the window is covered.
+much of the window is covered.  With a kernel map the window operator is
+P (K - sigma M)^-1, P = I - Z (Z^T M Z)^-1 Z^T M the M-orthogonal projector
+off range Z, Z = [I; cG], and the start vector is projected too: the
+degenerate kernel cluster, which can stall Lanczos on the edge of the
+wanted set, is then not in the Krylov space at all, and kernel_count is
+n_free_h1 as on the dense path.
 
-Each sparse solve factorizes K - sigma M once.  The same factors drive the
-Lanczos iteration and, when a Lanczos pair misses RESIDUAL_TOL, one step of
-subspace inverse iteration with a Rayleigh-Ritz projection; a residual
-still above RESIDUAL_TOL after that step is an EigenSolverError, never a
-retry.  Lanczos that does not converge within a bounded number of restarts
-is retried once on a larger subspace, then fails.
+Each sparse solve factorizes K - sigma M once, with SuperLU in symmetric
+mode (minimum-degree ordering of the symmetric pattern, diagonal pivots).
+The same factors drive the Lanczos iteration and, when a Lanczos pair
+misses RESIDUAL_TOL, one step of subspace inverse iteration with a
+Rayleigh-Ritz projection; a residual still above RESIDUAL_TOL after that
+step is an EigenSolverError, never a retry.  Lanczos that does not
+converge within a bounded number of restarts is retried once on a larger
+subspace, then fails.
 """
 
 from __future__ import annotations
@@ -115,6 +122,13 @@ def _eigh(K, M, hi=np.inf):
         raise EigenSolverError(f"dense factorization failed: {exc}") from exc
 
 
+def _kernel_mass(pencil):
+    """MZ and A = Z^T M Z (both sparse) for the kernel basis Z = [I; cG]."""
+    nu, cG, M = pencil.n_free_h1, pencil.kernel_map, pencil.M
+    MZ = M[:, :nu] + M[:, nu:] @ cG
+    return MZ, MZ[:nu] + cG.T @ MZ[nu:]
+
+
 def _deflated_dense(pencil, lo, hi, k):
     """Eigenpairs with lo < lambda <= hi (the k lowest) of a pencil whose
     kernel is range Z, Z = [I; cG] (cG = pencil.kernel_map).
@@ -126,9 +140,9 @@ def _deflated_dense(pencil, lo, hi, k):
     """
     nu, cG = pencil.n_free_h1, pencil.kernel_map
     K, M = pencil.K, pencil.M
-    MZ = M[:, :nu] + M[:, nu:] @ cG
+    MZ, A = _kernel_mass(pencil)
     try:
-        L = cholesky((MZ[:nu] + cG.T @ MZ[nu:]).toarray(), lower=True)
+        L = cholesky(A.toarray(), lower=True)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"kernel mass matrix factorization failed: {exc}") from exc
     W = solve_triangular(L, MZ[nu:].T.toarray(), lower=True)  # L^-1 B
@@ -160,40 +174,80 @@ def _dense_solve(pencil, lo=-np.inf, hi=np.inf, k=None) -> Spectrum:
     return Spectrum(vals, vecs, kernel_count, tau, res, "dense")
 
 
+def _symmetric_lu(A):
+    """SuperLU of a symmetric matrix in symmetric mode: a minimum-degree
+    ordering of A^T + A, and pivots taken from the diagonal unless a
+    diagonal entry is exactly zero.  The pivot threshold stays exactly 0:
+    a threshold lets row pivoting break the symmetric ordering (0.1 gave a
+    15 times larger factor of the TB N = 32 pencil)."""
+    return splu(
+        A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+
+
 def _factorize(pencil, sigma: float):
-    """Sparse LU of K - sigma M, computed once per sparse solve.
+    """Sparse LU of K - sigma M in symmetric mode, computed once per sparse
+    solve.
 
     The shifted pencil is symmetric, so the transpose of its CSR form is its
-    CSC form (the same factorization eigsh builds when given only sigma).
+    CSC form.  A factor that pivots poorly shows up as eigenpair residuals
+    on the original K and M, which are always checked.
     """
     try:
-        return splu((pencil.K - sigma * pencil.M).T.tocsc())
+        return _symmetric_lu((pencil.K - sigma * pencil.M).T.tocsc())
     except RuntimeError as exc:
         raise EigenSolverError(
             f"factorization of K - sigma M failed (sigma={sigma:.6g}): {exc}"
         ) from exc
 
 
+def _kernel_projector(pencil):
+    """u -> P u, P = I - Z A^-1 Z^T M with A = Z^T M Z: the M-orthogonal
+    projector off the kernel range Z = [I; cG], with A factored once."""
+    nu, cG = pencil.n_free_h1, pencil.kernel_map
+    MZ, A = _kernel_mass(pencil)
+    try:
+        lu = _symmetric_lu(A.tocsc())
+    except RuntimeError as exc:
+        raise EigenSolverError(f"kernel mass matrix factorization failed: {exc}") from exc
+    MZt = MZ.T.tocsr()
+
+    def project(u):
+        s = lu.solve(MZt @ u)
+        out = u.copy()
+        out[:nu] -= s
+        out[nu:] -= cG @ s
+        return out
+
+    return project
+
+
 # Restart budgets of the Lanczos attempts.  Converging first attempts take
-# at most 7 restarts on the benchmark workloads and 105 in the test suite (a
-# window solve at ncv = 49), so a first attempt still running after
+# at most 6 restarts on the benchmark workloads and 8 in the test suite, and
+# no attempt there needs the retry, so a first attempt still running after
 # FIRST_MAXITER has stalled and hands over to the retry.
 FIRST_MAXITER = 300
 RETRY_MAXITER = 5000
 
 
-def _eigsh_guarded(pencil, lu, k, sigma, which):
-    """eigsh on the given factors.  When Lanczos does not converge within
-    FIRST_MAXITER restarts (a degenerate kernel cluster near the edge of the
-    requested set can stall them at the default subspace size) it runs once
-    more with ncv = 2 ncv + 10, and fails after that.  Returns (vals, vecs,
-    ncv used).
+def _eigsh_guarded(pencil, lu, k, sigma, which, project=None):
+    """eigsh on the given factors, with the shift-invert operator followed
+    by project (and the start vector projected) when one is given.  When
+    Lanczos does not converge within FIRST_MAXITER restarts it runs once
+    more with ncv = 2 ncv + 10, and fails after that.  A degenerate kernel
+    cluster near the edge of the requested set is what stalls a window
+    solve at the default subspace size; projecting the kernel out removes
+    it.  Returns (vals, vecs, ncv used).
     """
     n = pencil.n_free
     first = min(n, max(2 * k + 1, 20))
-    op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    apply = lu.solve if project is None else (lambda u: project(lu.solve(u)))
+    op_inv = LinearOperator((n, n), matvec=apply, dtype=float)
     # Fixed start vector: byte-identical spectra from run to run.
     v0 = np.random.default_rng(202406).standard_normal(n)
+    if project is not None:
+        v0 = project(v0)
     attempts = [(first, FIRST_MAXITER), (min(2 * first + 10, n), RETRY_MAXITER)]
     # no retry when the first subspace already spans the whole space
     for ncv, maxiter in attempts[:1] if first == n else attempts:
@@ -233,7 +287,7 @@ def _refine(pencil, lu, vecs):
     return vals, Y @ C
 
 
-def _refined_spectrum(pencil, lu, vals, vecs, kernel, tau, sigma, k, ncv) -> Spectrum:
+def _refined_spectrum(pencil, lu, vals, vecs, kernel_count, tau, sigma, k, ncv) -> Spectrum:
     """Spectrum of the Lanczos pairs, refined once if they miss RESIDUAL_TOL.
 
     Pairs that already pass are kept as they are: the refinement step has
@@ -244,7 +298,7 @@ def _refined_spectrum(pencil, lu, vals, vecs, kernel, tau, sigma, k, ncv) -> Spe
         vals, vecs = _refine(pencil, lu, vecs)
         where = f"shift-invert (sigma={sigma:.6g}, k={k}, ncv={ncv})"
         res = _check_residuals(pencil.K, pencil.M, vals, vecs, where)
-    return Spectrum(vals, vecs, int(kernel.sum()), tau, res, "shift-invert")
+    return Spectrum(vals, vecs, kernel_count, tau, res, "shift-invert")
 
 
 def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
@@ -279,7 +333,7 @@ def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
             f"found only {len(idx)} non-kernel eigenvalues (requested {k})"
         )
     return _refined_spectrum(
-        pencil, lu, vals[idx], vecs[:, idx], kernel, tau, sigma, k_req, ncv
+        pencil, lu, vals[idx], vecs[:, idx], int(kernel.sum()), tau, sigma, k_req, ncv
     )
 
 
@@ -297,22 +351,30 @@ def solve_window(pencil, lam_hi: float, lam_lo_guard: float, expect: int) -> Spe
 
     # Shift inside the window: the kernel sits at distance sigma, strictly
     # beyond every window eigenvalue, so nearest-first convergence walks the
-    # window from the inside out and the kernel never dominates the Krylov
-    # space.
+    # window from the inside out.  With a kernel map the kernel is projected
+    # out of the operator, so Lanczos never meets it and the kernel count is
+    # exact; without one it may return some kernel values, which are
+    # filtered.
     sigma = 0.55 * lam_hi * 1.0000037
     d_wanted = max(sigma - lam_lo_guard, lam_hi - sigma)
     lu = _factorize(pencil, sigma)
+    project = None if pencil.kernel_map is None else _kernel_projector(pencil)
     k_req = expect + 8
     for _ in range(12):
         k_req = min(k_req, n - 1)
-        vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LM")
-        kernel, tau = filter_kernel(vals)
+        vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LM", project)
+        if project is None:
+            kernel, tau = filter_kernel(vals)
+            kernel_count = int(kernel.sum())
+        else:
+            kernel, tau = np.zeros(len(vals), dtype=bool), 0.0
+            kernel_count = pencil.n_free_h1
         covered = kernel.any() or np.abs(vals - sigma).max() >= d_wanted
         if not covered and k_req < n - 1:
             k_req = 2 * k_req
             continue
         idx = np.nonzero(~kernel & (vals <= lam_hi))[0]
         return _refined_spectrum(
-            pencil, lu, vals[idx], vecs[:, idx], kernel, tau, sigma, k_req, ncv
+            pencil, lu, vals[idx], vecs[:, idx], kernel_count, tau, sigma, k_req, ncv
         )
     raise EigenSolverError("window solve did not certify coverage")

@@ -256,3 +256,76 @@ def test_first_lanczos_attempt_has_the_smaller_restart_budget(coupled_pencil, mo
     with pytest.raises(EigenSolverError):
         solve(coupled_pencil, k=5, hint=10.0)
     assert budgets == [eigen_mod.FIRST_MAXITER, eigen_mod.RETRY_MAXITER]
+
+
+def test_shifted_pencil_is_factored_in_symmetric_mode():
+    from scipy.sparse.linalg import splu
+
+    from axicav.eigen import _factorize
+
+    mesh = build_structured(1.0, 1.0, 16)
+    prob = ModeProblem(mesh=mesh, n=1, transformation=Transformation("TB"),
+                       q=3, p=2, quad_degree=7)
+    pen = assemble(prob, build_pair(mesh, 3, 2))
+    sigma = 30.0
+    lu = _factorize(pen, sigma)
+    plain = splu((pen.K - sigma * pen.M).T.tocsc())
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert lu.L.nnz + lu.U.nnz < 0.5 * (plain.L.nnz + plain.U.nnz)
+
+
+def test_window_lanczos_projects_out_the_kernel(coupled_pencil, monkeypatch):
+    import axicav.eigen as eigen_mod
+
+    dense = solve(coupled_pencil)
+    calls = []
+    real_eigsh = eigen_mod.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(kwargs["ncv"])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
+    monkeypatch.setattr(eigen_mod, "eigsh", counting_eigsh)
+    win = solve_window(
+        coupled_pencil,
+        float(dense.eigenvalues[4] * 1.0001),
+        0.5 * float(dense.eigenvalues[0]),
+        expect=6,
+    )
+    assert len(calls) == 1
+    assert win.method == "shift-invert"
+    assert win.kernel_exact and win.kernel_count == coupled_pencil.n_free_h1
+    assert np.allclose(win.eigenvalues, dense.eigenvalues[:5], rtol=1e-9, atol=0.0)
+
+
+def test_tb_convergence_needs_no_refinement(monkeypatch):
+    # The cavity whose TB N = 32 pencil left Lanczos residuals above
+    # RESIDUAL_TOL under unsymmetric SuperLU factors.
+    import axicav.eigen as eigen_mod
+    import axicav.studies as studies
+    from axicav.studies import build_study_config, run_convergence
+
+    spectra, refined = [], []
+    real_solve, real_refine = studies.solve, eigen_mod._refine
+
+    def recording_solve(*args, **kwargs):
+        spectra.append(real_solve(*args, **kwargs))
+        return spectra[-1]
+
+    def counting_refine(*args, **kwargs):
+        refined.append(True)
+        return real_refine(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "solve", recording_solve)
+    monkeypatch.setattr(eigen_mod, "_refine", counting_refine)
+    cfg = build_study_config({
+        "study": "converge", "transforms": "TB", "n": "1", "q": "3", "p": "2",
+        "target": "TE,1,1,1", "mesh_ladder": "4,8,16,32",
+        "R": "0.5458329802810611", "L": "0.549846141265144",
+    })
+    rows, slopes = run_convergence(cfg)
+    assert [s.method for s in spectra] == ["dense", "dense", "shift-invert", "shift-invert"]
+    assert not refined
+    assert max(s.residuals.max() for s in spectra) <= 1e-10
+    assert 3.6 <= slopes["TB"] <= 4.6
