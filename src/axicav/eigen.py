@@ -2,42 +2,31 @@
 
 The full H(curl) spaces carry a large discrete gradient kernel: the
 curl-curl pencil has a zero eigenvalue of multiplicity equal to the number
-of free scalar dofs (for coupled problems with q = p + 1).
+of free scalar dofs (for coupled problems with q = p + 1).  When assembly
+supplies the kernel map cG (range [I; cG] is exactly the kernel, see
+formulation.gradient_kernel_coefficient), kernel_count is n_free_h1 and
+nothing is thresholded.  Pencils without a map (n = 0, TD with |n| > 1)
+classify eigenvalues below a relative threshold as kernel.  Residuals are
+always checked on the original pencil.
 
-Below DENSE_DIM free dofs the pencil is solved in dense storage.  When
-assembly supplies the kernel map cG (range [I; cG] is exactly the kernel,
-see formulation.gradient_kernel_coefficient), the kernel is deflated: the
-change of unknowns x = T [w; y], T = [[I, 0], [cG, I]], turns the stiffness
-into diag(0, K_vv), and eliminating w leaves K_vv y = lambda S y on the
-vector unknowns, S the Schur complement of the transformed mass T^T M T.
-That pencil has no kernel, so a window solve computes only the eigenpairs
-up to its upper end, kernel_count is n_free_h1 and nothing is thresholded.
-Pencils without a map (n = 0, TD with |n| > 1) are solved in full, and
-eigenvalues below a relative threshold are classified as kernel and
-removed before any spectrum matching.  Residuals are always checked on
-the original pencil.
+Window solves count before they solve: the negative pivots of a
+symmetric-mode factor of K - s M number the eigenvalues below s
+(_inertia), so the window (tau, lam_hi] holds count = #below(lam_hi) -
+kernel eigenvalues, kernel being n_free_h1 with a map and #below(tau)
+without one.  One shift-invert Lanczos call at the window's midpoint sigma
+asks for exactly count pairs, which under theta = 1/(lambda - sigma) are
+the count largest |theta|; a returned pair outside the window is an
+EigenSolverError.  With a kernel map the window operator is
+P (K - sigma M)^-1, P the M-orthogonal projector off range [I; cG], so the
+degenerate kernel cluster is not in the Krylov space at all.  The k-lowest
+solve shifts to half the analytic hint and takes the largest algebraic
+thetas, the modes above sigma; the kernel (theta = -1/sigma) never
+competes.  Dense storage (see _dense_pays) computes every eigenpair and
+drops the kernel: the lowest n_free_h1 with a map, those below the
+threshold without.
 
-Above DENSE_DIM, shift-invert Lanczos iterations are used, and
-the shift placement must respect the kernel: under theta = 1/(lambda -
-sigma) the kernel maps to theta = -1/sigma, so a shift far below the
-physical spectrum makes the kernel cluster dominant and starves the wanted
-eigenvalues.  The k-lowest solve therefore shifts to half the analytic
-hint (kernel and first mode are then comparable extremes and the largest
-algebraic thetas are exactly the physical modes above sigma).  The window
-solve shifts inside the window: every window eigenvalue is closer to sigma
-than the kernel is, nearest-first convergence enumerates the window from
-the inside out, and the largest returned |lambda - sigma| certifies how
-much of the window is covered.  With a kernel map the window operator is
-P (K - sigma M)^-1, P = I - Z (Z^T M Z)^-1 Z^T M the M-orthogonal projector
-off range Z, Z = [I; cG], and the start vector is projected too: the
-degenerate kernel cluster, which can stall Lanczos on the edge of the
-wanted set, is then not in the Krylov space at all, and kernel_count is
-n_free_h1 as on the dense path.
-
-Each sparse solve factorizes K - sigma M once, with SuperLU in symmetric
-mode (minimum-degree ordering of the symmetric pattern, diagonal pivots).
-The same factors drive the Lanczos iteration and, when a Lanczos pair
-misses RESIDUAL_TOL, one step of subspace inverse iteration with a
+The factors of K - sigma M drive the Lanczos iteration and, when a Lanczos
+pair misses RESIDUAL_TOL, one step of subspace inverse iteration with a
 Rayleigh-Ritz projection; a residual still above RESIDUAL_TOL after that
 step is an EigenSolverError, never a retry.  Lanczos that does not
 converge within a bounded number of restarts is retried once on a larger
@@ -49,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 __all__ = ["Spectrum", "EigenSolverError", "solve", "solve_window", "filter_kernel", "DENSE_DIM"]
@@ -76,7 +65,8 @@ class Spectrum:
 
     @property
     def kernel_exact(self) -> bool:
-        """Kernel deflated exactly: nothing was thresholded."""
+        """Kernel removed exactly through the kernel map: nothing was
+        thresholded."""
         return self.kernel_threshold == 0.0
 
 
@@ -113,65 +103,51 @@ def _check_residuals(K, M, vals, vecs, method):
 
 def _eigh(K, M, hi=np.inf):
     """Dense generalized eigenpairs: all of them (divide and conquer), or
-    only those up to hi when hi is finite."""
+    only those up to hi when hi is finite.  K and M, in Fortran order, are
+    overwritten: LAPACK then works in place instead of on copies (at 3349
+    dofs the peak falls from 605 to 435 MB, eigenvalues bit-identical)."""
     try:
         if np.isfinite(hi):
-            return eigh(K, M, subset_by_value=(-np.inf, hi))
-        return eigh(K, M, driver="gvd")
+            return eigh(K, M, subset_by_value=(-np.inf, hi), overwrite_a=True, overwrite_b=True)
+        return eigh(K, M, driver="gvd", overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"dense factorization failed: {exc}") from exc
-
-
-def _kernel_mass(pencil):
-    """MZ and A = Z^T M Z (both sparse) for the kernel basis Z = [I; cG]."""
-    nu, cG, M = pencil.n_free_h1, pencil.kernel_map, pencil.M
-    MZ = M[:, :nu] + M[:, nu:] @ cG
-    return MZ, MZ[:nu] + cG.T @ MZ[nu:]
-
-
-def _deflated_dense(pencil, lo, hi, k):
-    """Eigenpairs with lo < lambda <= hi (the k lowest) of a pencil whose
-    kernel is range Z, Z = [I; cG] (cG = pencil.kernel_map).
-
-    In the unknowns (w, y) with x = [w; cG w + y] the stiffness is
-    diag(0, K_vv), so w = -A^-1 B y with A = Z^T M Z, B = Z^T M [0; I], and
-    K_vv y = lambda S y with S = M_vv - B^T A^-1 B.  The lifted x is
-    M-normalized because y is S-normalized.
-    """
-    nu, cG = pencil.n_free_h1, pencil.kernel_map
-    K, M = pencil.K, pencil.M
-    MZ, A = _kernel_mass(pencil)
-    try:
-        L = cholesky(A.toarray(), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"kernel mass matrix factorization failed: {exc}") from exc
-    W = solve_triangular(L, MZ[nu:].T.toarray(), lower=True)  # L^-1 B
-    S = M[nu:, nu:].toarray() - W.T @ W
-    vals, y = _eigh(K[nu:, nu:].toarray(), S, hi)
-    idx = np.nonzero((vals > lo) & (vals <= hi))[0][:k]
-    y = y[:, idx]
-    w = -solve_triangular(L, W @ y, lower=True, trans="T")
-    return vals[idx], np.vstack([w, cG @ w + y])
 
 
 def _dense_solve(pencil, lo=-np.inf, hi=np.inf, k=None) -> Spectrum:
     """Dense eigenpairs with lo < lambda <= hi, the k lowest of them.
 
-    A pencil with a kernel map has its kernel deflated exactly; any other
-    is solved in full and its eigenvalues below filter_kernel's threshold
-    are dropped as kernel.
+    With a kernel map the lowest n_free_h1 eigenvalues are the kernel; any
+    other pencil is solved in full and its eigenvalues below
+    filter_kernel's threshold are dropped as kernel.
     """
+    K, M = pencil.K.toarray(order="F"), pencil.M.toarray(order="F")
     if pencil.kernel_map is not None:
-        vals, vecs = _deflated_dense(pencil, lo, hi, k)
+        vals, vecs = _eigh(K, M, hi)
         kernel_count, tau = pencil.n_free_h1, 0.0
+        kernel = np.arange(len(vals)) < kernel_count
     else:
-        vals, vecs = _eigh(pencil.K.toarray(), pencil.M.toarray())
+        vals, vecs = _eigh(K, M)
         kernel, tau = filter_kernel(vals)
-        idx = np.nonzero(~kernel & (vals > lo) & (vals <= hi))[0][:k]
-        vals, vecs = vals[idx], vecs[:, idx]
         kernel_count = int(kernel.sum())
+    idx = np.nonzero(~kernel & (vals > lo) & (vals <= hi))[0][:k]
+    vals, vecs = vals[idx], vecs[:, idx]
     res = _check_residuals(pencil.K, pencil.M, vals, vecs, "dense")
     return Spectrum(vals, vecs, kernel_count, tau, res, "dense")
+
+
+def _dense_pays(pencil, wanted: int) -> bool:
+    """Whether a solve for `wanted` pairs runs in dense storage.
+
+    Up to DENSE_DIM, a pencil without a kernel map always does: shift-invert
+    Lanczos would have to separate its window from the unprojected kernel
+    cluster.  A mapped pencil does only when the first Lanczos subspace,
+    max(2 wanted + 1, 20) vectors, would span an eighth of it or more.
+    """
+    n = pencil.n_free
+    return n <= DENSE_DIM and (
+        pencil.kernel_map is None or 8 * max(2 * wanted + 1, 20) >= n
+    )
 
 
 def _symmetric_lu(A):
@@ -187,8 +163,8 @@ def _symmetric_lu(A):
 
 
 def _factorize(pencil, sigma: float):
-    """Sparse LU of K - sigma M in symmetric mode, computed once per sparse
-    solve.
+    """Sparse LU of K - sigma M in symmetric mode: the shift-invert factors
+    of a sparse solve, and the count of a window's eigenvalues (_inertia).
 
     The shifted pencil is symmetric, so the transpose of its CSR form is its
     CSC form.  A factor that pivots poorly shows up as eigenpair residuals
@@ -202,13 +178,27 @@ def _factorize(pencil, sigma: float):
         ) from exc
 
 
+def _inertia(lu) -> int:
+    """Number of eigenvalues below s of a pencil whose K - s M lu factors.
+
+    With perm_r == perm_c the symmetric-mode factor is P^T (K - s M) P =
+    L U with U = D L^T, so by Sylvester's law of inertia the negative
+    entries of diag(U) count the negative eigenvalues of K - s M, which are
+    the eigenvalues of (K, M) below s.  A factor whose row pivoting broke
+    the symmetric ordering gives no count.
+    """
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigenSolverError("shifted factor is not symmetric (perm_r != perm_c)")
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
 def _kernel_projector(pencil):
-    """u -> P u, P = I - Z A^-1 Z^T M with A = Z^T M Z: the M-orthogonal
+    """u -> P u, P = I - Z A^-1 (MZ)^T with A = Z^T M Z: the M-orthogonal
     projector off the kernel range Z = [I; cG], with A factored once."""
-    nu, cG = pencil.n_free_h1, pencil.kernel_map
-    MZ, A = _kernel_mass(pencil)
+    nu, cG, M = pencil.n_free_h1, pencil.kernel_map, pencil.M
+    MZ = M[:, :nu] + M[:, nu:] @ cG
     try:
-        lu = _symmetric_lu(A.tocsc())
+        lu = _symmetric_lu((MZ[:nu] + cG.T @ MZ[nu:]).tocsc())
     except RuntimeError as exc:
         raise EigenSolverError(f"kernel mass matrix factorization failed: {exc}") from exc
     MZt = MZ.T.tocsr()
@@ -224,7 +214,7 @@ def _kernel_projector(pencil):
 
 
 # Restart budgets of the Lanczos attempts.  Converging first attempts take
-# at most 6 restarts on the benchmark workloads and 8 in the test suite, and
+# at most 7 restarts on the benchmark workloads and 12 in the test suite, and
 # no attempt there needs the retry, so a first attempt still running after
 # FIRST_MAXITER has stalled and hands over to the retry.
 FIRST_MAXITER = 300
@@ -238,7 +228,8 @@ def _eigsh_guarded(pencil, lu, k, sigma, which, project=None):
     more with ncv = 2 ncv + 10, and fails after that.  A degenerate kernel
     cluster near the edge of the requested set is what stalls a window
     solve at the default subspace size; projecting the kernel out removes
-    it.  Returns (vals, vecs, ncv used).
+    it.  Returns (vals, vecs, ncv used), vals the Rayleigh quotients of the
+    Lanczos vectors on (K, M), ascending.
     """
     n = pencil.n_free
     first = min(n, max(2 * k + 1, 20))
@@ -252,7 +243,7 @@ def _eigsh_guarded(pencil, lu, k, sigma, which, project=None):
     # no retry when the first subspace already spans the whole space
     for ncv, maxiter in attempts[:1] if first == n else attempts:
         try:
-            vals, vecs = eigsh(
+            _, vecs = eigsh(
                 pencil.K, k=k, M=pencil.M, sigma=sigma, which=which,
                 ncv=ncv, maxiter=maxiter, v0=v0, OPinv=op_inv,
             )
@@ -261,6 +252,10 @@ def _eigsh_guarded(pencil, lu, k, sigma, which, project=None):
             continue
         except Exception as exc:
             raise EigenSolverError(f"shift-invert iteration failed: {exc}") from exc
+        # Rayleigh quotients on (K, M): second order in the vector error,
+        # where sigma + 1/theta keeps the first-order round-off of the solves
+        vals = np.einsum("ij,ij->j", vecs, pencil.K @ vecs) / np.einsum(
+            "ij,ij->j", vecs, pencil.M @ vecs)
         order = np.argsort(vals)
         return vals[order], vecs[:, order], ncv
     raise EigenSolverError(
@@ -311,11 +306,14 @@ def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
     """
     n = pencil.n_free
     lo = -np.inf if hint is None else 0.5 * hint
-    if n <= DENSE_DIM or k is None:
+    if k is None:
         if n > DENSE_DIM:
             raise EigenSolverError(
                 f"full-spectrum solve requested for dimension {n} > {DENSE_DIM}"
             )
+        return _dense_solve(pencil, lo=lo)
+    k_req = min(k + 5, n - 1)
+    if _dense_pays(pencil, k_req):
         return _dense_solve(pencil, lo=lo, k=k)
     if hint is None:
         raise EigenSolverError(
@@ -324,57 +322,47 @@ def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
 
     sigma = lo * 1.0000037  # avoid landing exactly on an eigenvalue
     lu = _factorize(pencil, sigma)
-    k_req = min(k + 5, n - 1)
     vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LA")
-    kernel, tau = filter_kernel(vals)
-    idx = np.nonzero(~kernel)[0][:k]
-    if len(idx) < k:
+    if pencil.kernel_map is None:
+        kernel, tau = filter_kernel(vals)
+        kernel_count = int(kernel.sum())
+        vals, vecs = vals[~kernel], vecs[:, ~kernel]
+    else:
+        kernel_count, tau = pencil.n_free_h1, 0.0
+    if len(vals) < k:
         raise EigenSolverError(
-            f"found only {len(idx)} non-kernel eigenvalues (requested {k})"
+            f"found only {len(vals)} non-kernel eigenvalues (requested {k})"
         )
     return _refined_spectrum(
-        pencil, lu, vals[idx], vecs[:, idx], int(kernel.sum()), tau, sigma, k_req, ncv
+        pencil, lu, vals[:k], vecs[:, :k], kernel_count, tau, sigma, k_req, ncv
     )
 
 
-def solve_window(pencil, lam_hi: float, lam_lo_guard: float, expect: int) -> Spectrum:
+def solve_window(pencil, lam_hi: float) -> Spectrum:
     """All non-kernel eigenpairs with lambda <= lam_hi.
 
-    lam_lo_guard: no physical eigenvalue is expected below this value (used
-    by the coverage certificate of the sparse path).  expect: estimate of
-    the eigenvalue count inside the window, controlling the first Krylov
-    request.
+    The sparse path counts the window by inertia first and then computes
+    exactly that many pairs; a pair outside the window is an
+    EigenSolverError.
     """
-    n = pencil.n_free
-    if n <= DENSE_DIM:
+    if pencil.kernel_map is not None:
+        tau, kernel_count = 0.0, pencil.n_free_h1
+    elif pencil.n_free <= DENSE_DIM:
+        return _dense_solve(pencil, hi=lam_hi)
+    else:
+        tau = KERNEL_REL * max(1.0, lam_hi)
+        kernel_count = _inertia(_factorize(pencil, tau))
+    count = _inertia(_factorize(pencil, lam_hi)) - kernel_count
+    if _dense_pays(pencil, count):
         return _dense_solve(pencil, hi=lam_hi)
 
-    # Shift inside the window: the kernel sits at distance sigma, strictly
-    # beyond every window eigenvalue, so nearest-first convergence walks the
-    # window from the inside out.  With a kernel map the kernel is projected
-    # out of the operator, so Lanczos never meets it and the kernel count is
-    # exact; without one it may return some kernel values, which are
-    # filtered.
-    sigma = 0.55 * lam_hi * 1.0000037
-    d_wanted = max(sigma - lam_lo_guard, lam_hi - sigma)
+    sigma = 0.5 * (tau + lam_hi) * 1.0000037
     lu = _factorize(pencil, sigma)
     project = None if pencil.kernel_map is None else _kernel_projector(pencil)
-    k_req = expect + 8
-    for _ in range(12):
-        k_req = min(k_req, n - 1)
-        vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LM", project)
-        if project is None:
-            kernel, tau = filter_kernel(vals)
-            kernel_count = int(kernel.sum())
-        else:
-            kernel, tau = np.zeros(len(vals), dtype=bool), 0.0
-            kernel_count = pencil.n_free_h1
-        covered = kernel.any() or np.abs(vals - sigma).max() >= d_wanted
-        if not covered and k_req < n - 1:
-            k_req = 2 * k_req
-            continue
-        idx = np.nonzero(~kernel & (vals <= lam_hi))[0]
-        return _refined_spectrum(
-            pencil, lu, vals[idx], vecs[:, idx], kernel_count, tau, sigma, k_req, ncv
+    vals, vecs, ncv = _eigsh_guarded(pencil, lu, count, sigma, "LM", project)
+    if vals[0] <= tau or vals[-1] > lam_hi:
+        raise EigenSolverError(
+            f"window ({tau:.6g}, {lam_hi:.6g}] holds {count} eigenvalues, but "
+            f"shift-invert returned [{vals[0]:.6g}, {vals[-1]:.6g}]"
         )
-    raise EigenSolverError("window solve did not certify coverage")
+    return _refined_spectrum(pencil, lu, vals, vecs, kernel_count, tau, sigma, count, ncv)

@@ -454,9 +454,7 @@ def run_spurious_scan(cfg: StudyConfig):
         for N in cfg.mesh_ladder:
             problem = _problem(cfg, tr, N)
             pencil = assemble(problem, build_pair(problem.mesh, problem.q, problem.p))
-            spec = solve_window(
-                pencil, lam_cut, 0.02 * modes_all[0].lam, expect=cfg.modes + 8
-            )
+            spec = solve_window(pencil, lam_cut)
             tol = estimate_match_tol(spec.eigenvalues, window)
             report = match_spectra(spec.eigenvalues, window, tol)
             counts[(tr.label(), N)] = report.spurious_count

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from axicav.assembly import AssembledPencil, assemble
@@ -120,12 +121,7 @@ def test_sparse_path_matches_dense(coupled_pencil):
     eigen_mod.DENSE_DIM = 10  # force the shift-invert path
     try:
         sparse_spec = solve(coupled_pencil, k=5, hint=float(dense.eigenvalues[0]))
-        win = solve_window(
-            coupled_pencil,
-            float(dense.eigenvalues[4] * 1.0001),
-            0.5 * float(dense.eigenvalues[0]),
-            expect=6,
-        )
+        win = solve_window(coupled_pencil, float(dense.eigenvalues[4] * 1.0001))
     finally:
         eigen_mod.DENSE_DIM = old
     assert np.allclose(sparse_spec.eigenvalues, dense.eigenvalues[:5], rtol=1e-9)
@@ -189,12 +185,12 @@ def test_refinement_lowers_residual(coupled_pencil):
 def test_window_solve_dense(coupled_pencil):
     dense = solve(coupled_pencil)
     hi = float(dense.eigenvalues[2]) * 1.0001
-    win = solve_window(coupled_pencil, hi, 0.5 * float(dense.eigenvalues[0]), expect=4)
+    win = solve_window(coupled_pencil, hi)
     assert len(win.eigenvalues) == 3
 
 
 @pytest.fixture(scope="module", params=[("TB", 2), ("TC(1,1)", 1)], ids=["TB-2", "TC11-1"])
-def deflatable_pencil(request):
+def mapped_pencil(request):
     kind, n = request.param
     mesh = build_structured(1.0, 1.0, 6)
     prob = ModeProblem(mesh=mesh, n=n, transformation=Transformation.parse(kind),
@@ -203,26 +199,27 @@ def deflatable_pencil(request):
 
 
 @pytest.mark.parametrize("how", ["k", "window"])
-def test_deflated_dense_solve_matches_the_full_pencil(deflatable_pencil, how):
-    pen = deflatable_pencil
+def test_mapped_solve_matches_the_unmapped_pencil(mapped_pencil, how):
+    pen = mapped_pencil
     assert pen.kernel_map is not None
 
     def run(p):
         if how == "k":
             return solve(p, k=6, hint=40.0)
-        return solve_window(p, 80.0, 1.0, expect=10)
+        return solve_window(p, 80.0)
 
-    deflated = run(pen)
+    mapped = run(pen)
     full = run(dataclasses.replace(pen, kernel_map=None))
-    assert len(deflated.eigenvalues) == len(full.eigenvalues) > 0
-    rel = np.abs(deflated.eigenvalues - full.eigenvalues) / full.eigenvalues
+    assert mapped.method == "shift-invert" and full.method == "dense"
+    assert len(mapped.eigenvalues) == len(full.eigenvalues) > 0
+    rel = np.abs(mapped.eigenvalues - full.eigenvalues) / full.eigenvalues
     assert rel.max() <= 1e-12
-    for spec in (deflated, full):
+    for spec in (mapped, full):
         assert spec.kernel_count == pen.n_free_h1
         V = spec.eigenvectors
         assert np.abs(V.T @ (pen.M @ V) - np.eye(V.shape[1])).max() < 1e-10
         assert spec.residuals.max() <= RESIDUAL_TOL
-    assert deflated.kernel_exact and deflated.kernel_threshold == 0.0
+    assert mapped.kernel_exact and mapped.kernel_threshold == 0.0
     assert not full.kernel_exact and full.kernel_threshold > 0.0
 
 
@@ -287,12 +284,7 @@ def test_window_lanczos_projects_out_the_kernel(coupled_pencil, monkeypatch):
 
     monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
     monkeypatch.setattr(eigen_mod, "eigsh", counting_eigsh)
-    win = solve_window(
-        coupled_pencil,
-        float(dense.eigenvalues[4] * 1.0001),
-        0.5 * float(dense.eigenvalues[0]),
-        expect=6,
-    )
+    win = solve_window(coupled_pencil, float(dense.eigenvalues[4] * 1.0001))
     assert len(calls) == 1
     assert win.method == "shift-invert"
     assert win.kernel_exact and win.kernel_count == coupled_pencil.n_free_h1
@@ -325,7 +317,57 @@ def test_tb_convergence_needs_no_refinement(monkeypatch):
         "R": "0.5458329802810611", "L": "0.549846141265144",
     })
     rows, slopes = run_convergence(cfg)
-    assert [s.method for s in spectra] == ["dense", "dense", "shift-invert", "shift-invert"]
+    assert [s.method for s in spectra] == ["shift-invert"] * 4
     assert not refined
     assert max(s.residuals.max() for s in spectra) <= 1e-10
     assert 3.6 <= slopes["TB"] <= 4.6
+
+
+@pytest.fixture(scope="module")
+def td_pencil():
+    # TD at |n| > 1 has no exact kernel map: the kernel is thresholded.
+    mesh = build_structured(1.0, 1.0, 4)
+    prob = ModeProblem(mesh=mesh, n=2, transformation=Transformation("TD"),
+                       q=3, p=2, quad_degree=12)
+    pen = assemble(prob, build_pair(mesh, 3, 2))
+    assert pen.kernel_map is None
+    return pen
+
+
+@pytest.mark.parametrize("which", ["mapped", "unmapped"])
+def test_inertia_counts_the_eigenvalues_below_the_shift(coupled_pencil, td_pencil, which):
+    from axicav.eigen import _factorize, _inertia
+
+    pen = coupled_pencil if which == "mapped" else td_pencil
+    vals = eigh(pen.K.toarray(), pen.M.toarray(), eigvals_only=True)
+    # shifts between the kernel and the first mode, and between later modes
+    for j in solve(pen).kernel_count - 1 + np.array([0, 1, 5, 20, 60]):
+        s = 0.5 * (vals[j] + vals[j + 1])
+        assert _inertia(_factorize(pen, s)) == j + 1
+
+
+def test_inertia_refuses_an_unsymmetric_factor():
+    from types import SimpleNamespace
+
+    from axicav.eigen import _inertia
+
+    lu = SimpleNamespace(perm_r=np.array([0, 1]), perm_c=np.array([1, 0]),
+                         U=sparse.identity(2, format="csc"))
+    with pytest.raises(EigenSolverError, match="perm_r"):
+        _inertia(lu)
+
+
+def test_unmapped_sparse_window_matches_the_dense_window(td_pencil, monkeypatch):
+    import axicav.eigen as eigen_mod
+    from axicav.analytic import pillbox_spectrum
+
+    modes = pillbox_spectrum(1.0, 1.0, 2, 200.0)
+    lam_cut = 0.5 * (modes[7].lam + modes[8].lam)
+    dense = solve_window(td_pencil, lam_cut)
+    monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
+    win = solve_window(td_pencil, lam_cut)
+    assert dense.method == "dense" and win.method == "shift-invert"
+    assert len(win.eigenvalues) == len(dense.eigenvalues) == 73
+    assert np.allclose(win.eigenvalues, dense.eigenvalues, rtol=1e-9, atol=0.0)
+    assert win.kernel_count == dense.kernel_count
+    assert win.residuals.max() <= RESIDUAL_TOL
