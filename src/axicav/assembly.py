@@ -51,12 +51,15 @@ class AssembledPencil:
     Free dofs are ordered as in the full combined numbering (H1 block then
     H(curl) block); n_free_h1 counts how many free dofs are scalar.
 
-    kernel_map, when set, is the sparse (free vector x free scalar) map c G
-    for which range [I; c G] is exactly the kernel of K (see
-    formulation.gradient_kernel_coefficient); the eigensolver then counts
-    the kernel as n_free_h1 instead of thresholding it, and the
-    shift-invert window solve projects it out of Lanczos.  None where the
-    kernel has no such form.
+    kernel_basis, when set, is a sparse (free dofs x kernel dimension) Z
+    whose range is exactly the kernel of K: [I; c G] at n != 0 (see
+    formulation.gradient_kernel_coefficient), [0; G_s] for the full problem
+    at n = 0 and G_s for its in-plane block, G_s the discrete gradient of
+    the scalar dofs off the PEC walls; the azimuthal block's Z has no
+    columns.  The eigensolver reads the kernel count off Z's columns and
+    projects range Z out of window Lanczos.  None where the kernel has no
+    such form (TD with |n| > 1, and orders whose gradients are not exactly
+    the curl-free vector fields).
     """
 
     K: sparse.csr_matrix
@@ -66,7 +69,7 @@ class AssembledPencil:
     free_to_full: np.ndarray
     constrained: np.ndarray
     n_free_h1: int
-    kernel_map: sparse.csr_matrix | None = None
+    kernel_basis: sparse.csr_matrix | None = None
 
     @property
     def n_free(self) -> int:
@@ -207,18 +210,30 @@ def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
     return csr(kvals_all), csr(mvals_all)
 
 
-def _kernel_map(problem: ModeProblem, pair: FeSpacePair, free: np.ndarray, n_free_h1: int):
-    """c G restricted to the free dofs, or None where [I; c G] is not the kernel.
+def _kernel_basis(problem: ModeProblem, pair: FeSpacePair, free: np.ndarray, n_free_h1: int):
+    """Z on the free dofs with range Z = ker K, or None where no such basis
+    is known.
 
     G is exact only while the H1 gradients lie in H(curl), i.e. q <= p + 1.
+    At n = 0 the kernel is the curl-free in-plane fields, which are the
+    gradients of the order p + 1 scalars vanishing on the PEC walls, so
+    there G spans it only when q = p + 1.
     """
-    c = gradient_kernel_coefficient(problem.transformation, problem.n)
-    if c is None or pair.h1.q > pair.hcurl.p + 1:
+    if problem.block == "azimuthal":
+        return sparse.csr_matrix((len(free), 0))
+    q, p, n = pair.h1.q, pair.hcurl.p, problem.n
+    c = gradient_kernel_coefficient(problem.transformation, n)
+    if q > p + 1 or (n == 0 and q < p + 1) or (n != 0 and c is None):
         return None
-    scalar, vector = free[:n_free_h1], free[n_free_h1:] - pair.n_h1
-    if c == 0.0:
-        return sparse.csr_matrix((len(vector), len(scalar)))
-    return c * discrete_gradient(pair)[vector][:, scalar]
+    vector = free[n_free_h1:] - pair.n_h1
+    if n == 0:
+        walls = pair.h1.edge_trace_dofs[problem.mesh.wall_edges()]
+        G_s = discrete_gradient(pair)[vector][:, np.setdiff1d(np.arange(pair.n_h1), walls)]
+        return sparse.vstack([sparse.csr_matrix((n_free_h1, G_s.shape[1])), G_s], format="csr")
+    if c == 0.0:  # TC: Z = [I; 0] needs no gradient
+        return sparse.eye(len(free), n_free_h1, format="csr")
+    cG = c * discrete_gradient(pair)[vector][:, free[:n_free_h1]]
+    return sparse.vstack([sparse.identity(n_free_h1, format="csr"), cG], format="csr")
 
 
 def assemble(problem: ModeProblem, pair: FeSpacePair) -> AssembledPencil:
@@ -238,7 +253,7 @@ def assemble(problem: ModeProblem, pair: FeSpacePair) -> AssembledPencil:
         free_to_full=free,
         constrained=constrained,
         n_free_h1=n_free_h1,
-        kernel_map=_kernel_map(problem, pair, free, n_free_h1),
+        kernel_basis=_kernel_basis(problem, pair, free, n_free_h1),
     )
 
 

@@ -1,29 +1,29 @@
 """Generalized symmetric eigensolver with gradient-kernel removal.
 
-The full H(curl) spaces carry a large discrete gradient kernel: the
-curl-curl pencil has a zero eigenvalue of multiplicity equal to the number
-of free scalar dofs (for coupled problems with q = p + 1).  When assembly
-supplies the kernel map cG (range [I; cG] is exactly the kernel, see
-formulation.gradient_kernel_coefficient), kernel_count is n_free_h1 and
-nothing is thresholded.  Pencils without a map (n = 0, TD with |n| > 1)
-classify eigenvalues below a relative threshold as kernel.  Residuals are
-always checked on the original pencil.
+The H(curl) spaces carry a large discrete gradient kernel: the curl-curl
+pencil has a zero eigenvalue of multiplicity equal to the number of free
+scalar dofs (n != 0, q <= p + 1) or to the number of scalar potentials off
+the PEC walls (n = 0).  Assembly supplies it as a sparse basis Z with
+range Z = ker K (AssembledPencil.kernel_basis); then kernel_count is Z's
+column count on every path and nothing is thresholded.  Pencils without a
+basis (TD with |n| > 1, unpaired orders) count as kernel the eigenvalues
+below tau = KERNEL_REL * max(1, top of the solve).  Residuals are always
+checked on the original pencil.
 
 Window solves count before they solve: the negative pivots of a
 symmetric-mode factor of K - s M number the eigenvalues below s
 (_inertia), so the window (tau, lam_hi] holds count = #below(lam_hi) -
-kernel eigenvalues, kernel being n_free_h1 with a map and #below(tau)
-without one.  One shift-invert Lanczos call at the window's midpoint sigma
-asks for exactly count pairs, which under theta = 1/(lambda - sigma) are
-the count largest |theta|; a returned pair outside the window is an
-EigenSolverError.  With a kernel map the window operator is
-P (K - sigma M)^-1, P the M-orthogonal projector off range [I; cG], so the
-degenerate kernel cluster is not in the Krylov space at all.  The k-lowest
+kernel eigenvalues, kernel being Z's columns (tau = 0) or #below(tau).
+Dense storage keeps exactly those count pairs above the kernel from one
+full eigh; shift-invert Lanczos at the window's midpoint sigma asks for
+exactly count pairs, the count largest |theta| under
+theta = 1/(lambda - sigma), on P (K - sigma M)^-1 with P the M-orthogonal
+projector off range Z, so the degenerate kernel cluster is not in the
+Krylov space at all.  On both paths a pair outside the window is an
+EigenSolverError, and an empty window computes nothing.  The k-lowest
 solve shifts to half the analytic hint and takes the largest algebraic
 thetas, the modes above sigma; the kernel (theta = -1/sigma) never
-competes.  Dense storage (see _dense_pays) computes every eigenpair and
-drops the kernel: the lowest n_free_h1 with a map, those below the
-threshold without.
+competes.  One rule (_dense_pays) picks dense storage for every pencil.
 
 The factors of K - sigma M drive the Lanczos iteration and, when a Lanczos
 pair misses RESIDUAL_TOL, one step of subspace inverse iteration with a
@@ -65,7 +65,7 @@ class Spectrum:
 
     @property
     def kernel_exact(self) -> bool:
-        """Kernel removed exactly through the kernel map: nothing was
+        """Kernel removed exactly through the kernel basis: nothing was
         thresholded."""
         return self.kernel_threshold == 0.0
 
@@ -92,62 +92,40 @@ def _residuals(K, M, vals, vecs):
     return num / np.where(den > 0, den, 1.0)
 
 
-def _check_residuals(K, M, vals, vecs, method):
-    res = _residuals(K, M, vals, vecs)
-    if res.size and res.max() > RESIDUAL_TOL:
-        raise EigenSolverError(
-            f"{method}: eigenpair residual {res.max():.3e} exceeds {RESIDUAL_TOL}"
-        )
-    return res
-
-
-def _eigh(K, M, hi=np.inf):
-    """Dense generalized eigenpairs: all of them (divide and conquer), or
-    only those up to hi when hi is finite.  K and M, in Fortran order, are
-    overwritten: LAPACK then works in place instead of on copies (at 3349
-    dofs the peak falls from 605 to 435 MB, eigenvalues bit-identical)."""
+def _eigh(pencil):
+    """All dense generalized eigenpairs (divide and conquer).  LAPACK
+    overwrites Fortran-order copies of K and M instead of copying them
+    again (at 3349 dofs the peak falls from 605 to 435 MB, eigenvalues
+    bit-identical)."""
+    K, M = pencil.K.toarray(order="F"), pencil.M.toarray(order="F")
     try:
-        if np.isfinite(hi):
-            return eigh(K, M, subset_by_value=(-np.inf, hi), overwrite_a=True, overwrite_b=True)
         return eigh(K, M, driver="gvd", overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"dense factorization failed: {exc}") from exc
 
 
-def _dense_solve(pencil, lo=-np.inf, hi=np.inf, k=None) -> Spectrum:
-    """Dense eigenpairs with lo < lambda <= hi, the k lowest of them.
+def _dense_solve(pencil, lo=-np.inf, k=None) -> Spectrum:
+    """Dense eigenpairs with lambda > lo, the k lowest of them.
 
-    With a kernel map the lowest n_free_h1 eigenvalues are the kernel; any
-    other pencil is solved in full and its eigenvalues below
-    filter_kernel's threshold are dropped as kernel.
+    With a kernel basis Z the lowest Z.shape[1] eigenvalues are the
+    kernel; without one, those below filter_kernel's threshold.
     """
-    K, M = pencil.K.toarray(order="F"), pencil.M.toarray(order="F")
-    if pencil.kernel_map is not None:
-        vals, vecs = _eigh(K, M, hi)
-        kernel_count, tau = pencil.n_free_h1, 0.0
+    vals, vecs = _eigh(pencil)
+    if pencil.kernel_basis is not None:
+        kernel_count, tau = pencil.kernel_basis.shape[1], 0.0
         kernel = np.arange(len(vals)) < kernel_count
     else:
-        vals, vecs = _eigh(K, M)
         kernel, tau = filter_kernel(vals)
         kernel_count = int(kernel.sum())
-    idx = np.nonzero(~kernel & (vals > lo) & (vals <= hi))[0][:k]
-    vals, vecs = vals[idx], vecs[:, idx]
-    res = _check_residuals(pencil.K, pencil.M, vals, vecs, "dense")
-    return Spectrum(vals, vecs, kernel_count, tau, res, "dense")
+    idx = np.nonzero(~kernel & (vals > lo))[0][:k]
+    return _spectrum(pencil, vals[idx], vecs[:, idx], kernel_count, tau, "dense")
 
 
 def _dense_pays(pencil, wanted: int) -> bool:
-    """Whether a solve for `wanted` pairs runs in dense storage.
-
-    Up to DENSE_DIM, a pencil without a kernel map always does: shift-invert
-    Lanczos would have to separate its window from the unprojected kernel
-    cluster.  A mapped pencil does only when the first Lanczos subspace,
-    max(2 wanted + 1, 20) vectors, would span an eighth of it or more.
-    """
-    n = pencil.n_free
-    return n <= DENSE_DIM and (
-        pencil.kernel_map is None or 8 * max(2 * wanted + 1, 20) >= n
-    )
+    """Whether a solve for `wanted` pairs runs in dense storage: up to
+    DENSE_DIM, when the first Lanczos subspace, max(2 wanted + 1, 20)
+    vectors, would span an eighth of the pencil or more."""
+    return pencil.n_free <= DENSE_DIM and 8 * max(2 * wanted + 1, 20) >= pencil.n_free
 
 
 def _symmetric_lu(A):
@@ -193,24 +171,29 @@ def _inertia(lu) -> int:
 
 
 def _kernel_projector(pencil):
-    """u -> P u, P = I - Z A^-1 (MZ)^T with A = Z^T M Z: the M-orthogonal
-    projector off the kernel range Z = [I; cG], with A factored once."""
-    nu, cG, M = pencil.n_free_h1, pencil.kernel_map, pencil.M
-    MZ = M[:, :nu] + M[:, nu:] @ cG
+    """u -> u - Z A^-1 (MZ)^T u with A = Z^T M Z: the M-orthogonal projector
+    off the kernel range Z, with A factored once; None without kernel
+    columns."""
+    Z = pencil.kernel_basis
+    if Z is None or Z.shape[1] == 0:
+        return None
+    MZ = pencil.M @ Z
     try:
-        lu = _symmetric_lu((MZ[:nu] + cG.T @ MZ[nu:]).tocsc())
+        lu = _symmetric_lu((Z.T @ MZ).tocsc())
     except RuntimeError as exc:
         raise EigenSolverError(f"kernel mass matrix factorization failed: {exc}") from exc
     MZt = MZ.T.tocsr()
+    return lambda u: u - Z @ lu.solve(MZt @ u)
 
-    def project(u):
-        s = lu.solve(MZt @ u)
-        out = u.copy()
-        out[:nu] -= s
-        out[nu:] -= cG @ s
-        return out
 
-    return project
+def _kernel(pencil, lam_hi: float):
+    """(kernel count, threshold tau) of a solve up to lam_hi: Z's columns
+    and tau = 0 with a kernel basis, else the inertia below
+    tau = KERNEL_REL * max(1, lam_hi)."""
+    if pencil.kernel_basis is not None:
+        return pencil.kernel_basis.shape[1], 0.0
+    tau = KERNEL_REL * max(1.0, lam_hi)
+    return _inertia(_factorize(pencil, tau)), tau
 
 
 # Restart budgets of the Lanczos attempts.  Converging first attempts take
@@ -282,18 +265,24 @@ def _refine(pencil, lu, vecs):
     return vals, Y @ C
 
 
-def _refined_spectrum(pencil, lu, vals, vecs, kernel_count, tau, sigma, k, ncv) -> Spectrum:
-    """Spectrum of the Lanczos pairs, refined once if they miss RESIDUAL_TOL.
+def _spectrum(pencil, vals, vecs, kernel_count, tau, where, lu=None) -> Spectrum:
+    """Spectrum of the computed pairs; a residual above RESIDUAL_TOL is an
+    EigenSolverError naming where the pairs came from.
 
-    Pairs that already pass are kept as they are: the refinement step has
-    its own round-off floor (about 1e-10) above typical Lanczos residuals.
+    Shift-invert pairs (lu given) that miss RESIDUAL_TOL are refined once
+    first.  Pairs that already pass are kept as they are: the refinement
+    step has its own round-off floor (about 1e-10) above typical Lanczos
+    residuals.
     """
     res = _residuals(pencil.K, pencil.M, vals, vecs)
-    if res.size and res.max() > RESIDUAL_TOL:
+    if lu is not None and res.size and res.max() > RESIDUAL_TOL:
         vals, vecs = _refine(pencil, lu, vecs)
-        where = f"shift-invert (sigma={sigma:.6g}, k={k}, ncv={ncv})"
-        res = _check_residuals(pencil.K, pencil.M, vals, vecs, where)
-    return Spectrum(vals, vecs, kernel_count, tau, res, "shift-invert")
+        res = _residuals(pencil.K, pencil.M, vals, vecs)
+    if res.size and res.max() > RESIDUAL_TOL:
+        raise EigenSolverError(
+            f"{where}: eigenpair residual {res.max():.3e} exceeds {RESIDUAL_TOL}"
+        )
+    return Spectrum(vals, vecs, kernel_count, tau, res, "dense" if lu is None else "shift-invert")
 
 
 def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
@@ -323,46 +312,35 @@ def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
     sigma = lo * 1.0000037  # avoid landing exactly on an eigenvalue
     lu = _factorize(pencil, sigma)
     vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LA")
-    if pencil.kernel_map is None:
-        kernel, tau = filter_kernel(vals)
-        kernel_count = int(kernel.sum())
-        vals, vecs = vals[~kernel], vecs[:, ~kernel]
-    else:
-        kernel_count, tau = pencil.n_free_h1, 0.0
-    if len(vals) < k:
-        raise EigenSolverError(
-            f"found only {len(vals)} non-kernel eigenvalues (requested {k})"
-        )
-    return _refined_spectrum(
-        pencil, lu, vals[:k], vecs[:, :k], kernel_count, tau, sigma, k_req, ncv
-    )
+    kernel_count, tau = _kernel(pencil, float(vals[k - 1]))
+    where = f"shift-invert (sigma={sigma:.6g}, k={k_req}, ncv={ncv})"
+    return _spectrum(pencil, vals[:k], vecs[:, :k], kernel_count, tau, where, lu)
 
 
 def solve_window(pencil, lam_hi: float) -> Spectrum:
     """All non-kernel eigenpairs with lambda <= lam_hi.
 
-    The sparse path counts the window by inertia first and then computes
-    exactly that many pairs; a pair outside the window is an
-    EigenSolverError.
+    The window is counted by inertia first, and exactly that many pairs are
+    computed; a pair outside the window is an EigenSolverError.
     """
-    if pencil.kernel_map is not None:
-        tau, kernel_count = 0.0, pencil.n_free_h1
-    elif pencil.n_free <= DENSE_DIM:
-        return _dense_solve(pencil, hi=lam_hi)
-    else:
-        tau = KERNEL_REL * max(1.0, lam_hi)
-        kernel_count = _inertia(_factorize(pencil, tau))
+    kernel_count, tau = _kernel(pencil, lam_hi)
     count = _inertia(_factorize(pencil, lam_hi)) - kernel_count
+    if count <= 0:
+        empty = np.empty(0)
+        return Spectrum(empty, np.empty((pencil.n_free, 0)), kernel_count, tau, empty,
+                        "dense" if _dense_pays(pencil, 0) else "shift-invert")
     if _dense_pays(pencil, count):
-        return _dense_solve(pencil, hi=lam_hi)
-
-    sigma = 0.5 * (tau + lam_hi) * 1.0000037
-    lu = _factorize(pencil, sigma)
-    project = None if pencil.kernel_map is None else _kernel_projector(pencil)
-    vals, vecs, ncv = _eigsh_guarded(pencil, lu, count, sigma, "LM", project)
+        vals, vecs = _eigh(pencil)
+        keep = slice(kernel_count, kernel_count + count)
+        vals, vecs, lu, where = vals[keep], vecs[:, keep].copy(), None, "dense"
+    else:
+        sigma = 0.5 * (tau + lam_hi) * 1.0000037
+        lu = _factorize(pencil, sigma)
+        vals, vecs, ncv = _eigsh_guarded(pencil, lu, count, sigma, "LM", _kernel_projector(pencil))
+        where = f"shift-invert (sigma={sigma:.6g}, k={count}, ncv={ncv})"
     if vals[0] <= tau or vals[-1] > lam_hi:
         raise EigenSolverError(
             f"window ({tau:.6g}, {lam_hi:.6g}] holds {count} eigenvalues, but "
-            f"shift-invert returned [{vals[0]:.6g}, {vals[-1]:.6g}]"
+            f"{where} returned [{vals[0]:.6g}, {vals[-1]:.6g}]"
         )
-    return _refined_spectrum(pencil, lu, vals, vecs, kernel_count, tau, sigma, count, ncv)
+    return _spectrum(pencil, vals, vecs, kernel_count, tau, where, lu)

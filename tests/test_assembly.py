@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh
 
 import _oracles
 from axicav.assembly import (
     _assemble_full, apply_constraints, assemble, collect_constraints, dump_matrix,
 )
+from axicav.eigen import filter_kernel
 from axicav.fespace import build_pair, discrete_gradient, interpolate_h1, project_hcurl
 from axicav.formulation import (
     Material, ModeProblem, Transformation, gradient_kernel_coefficient,
@@ -263,10 +265,12 @@ def test_matrix_dump_roundtrip(tmp_path, mesh4, pair4):
     ("TC(1,1)", 1), ("TC(1,1)", 2), ("TC(1,1)", 3),
     ("TC(1,2)", 2), ("TC(2,2)", 2),
 ])
-def test_kernel_map_spans_the_kernel(mesh4, pair4, kind, n):
+def test_kernel_basis_spans_the_kernel(mesh4, pair4, kind, n):
     pen = assemble(_problem(mesh4, kind=Transformation.parse(kind), n=n), pair4)
     nu = pen.n_free_h1
-    Z = sparse.vstack([sparse.identity(nu), pen.kernel_map]).tocsr()
+    Z = pen.kernel_basis
+    assert Z.shape == (pen.n_free, nu)
+    assert abs(Z[:nu] - sparse.identity(nu)).max() == 0.0
     assert abs(pen.K @ Z).max() <= 1e-12 * abs(pen.K).max()
     # G maps the free scalar dofs into free vector dofs only
     G = discrete_gradient(pair4)
@@ -274,16 +278,39 @@ def test_kernel_map_spans_the_kernel(mesh4, pair4, kind, n):
     assert abs(G[vector][:, pen.free_to_full[:nu]]).max() <= 1e-12 * abs(G).max()
 
 
-@pytest.mark.parametrize("kind,n", [
-    ("TD", 2), ("TA", 0), ("TB", 0), ("TD", 0), ("TC(1,1)", 0), ("TC(1,2)", 0),
-])
+@pytest.mark.parametrize("kind", ["TA", "TB", "TD", "TC(1,1)", "TC(1,2)"])
+@pytest.mark.parametrize("block", ["full", "inplane", "azimuthal"])
+def test_n0_kernel_basis_spans_the_kernel(mesh4, pair4, kind, block):
+    # at n = 0 the kernel is the gradients of the scalars off the PEC walls,
+    # in the in-plane unknowns only
+    tr = Transformation.parse(kind)
+    pen = assemble(_problem(mesh4, kind=tr, n=0, D=12, block=block), pair4)
+    Z = pen.kernel_basis
+    vals = eigh(pen.K.toarray(), pen.M.toarray(), eigvals_only=True)
+    dense_count = int(filter_kernel(vals)[0].sum())
+    if block == "azimuthal":
+        assert Z.shape == (pen.n_free, 0) and dense_count == 0
+        return
+    assert np.linalg.matrix_rank(Z.toarray()) == Z.shape[1] == dense_count > 0
+    assert abs(pen.K @ Z).max() <= 1e-12 * abs(pen.K).max()
+    assert Z[: pen.n_free_h1].nnz == 0
+
+
+@pytest.mark.parametrize("kind,n", [("TD", 2)])
 def test_no_kernel_map_without_table_entry(mesh4, pair4, kind, n):
     tr = Transformation.parse(kind)
     assert gradient_kernel_coefficient(tr, n) is None
-    assert assemble(_problem(mesh4, kind=tr, n=n, D=12), pair4).kernel_map is None
+    assert assemble(_problem(mesh4, kind=tr, n=n, D=12), pair4).kernel_basis is None
 
 
 def test_no_kernel_map_when_gradients_leave_hcurl(mesh4):
     # q > p + 1: grad H1_q is not in H(curl)_p, so G is no exact gradient
     pen = assemble(_problem(mesh4, q=3, p=1), build_pair(mesh4, 3, 1))
-    assert pen.kernel_map is None
+    assert pen.kernel_basis is None
+
+
+def test_no_n0_kernel_basis_below_the_paired_order(mesh4):
+    # q = p at n = 0: the gradients of the order p + 1 scalars span the
+    # kernel, and those of H1_q fall short of them
+    pen = assemble(_problem(mesh4, n=0, q=2, p=2, D=12), build_pair(mesh4, 2, 2))
+    assert pen.kernel_basis is None

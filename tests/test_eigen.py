@@ -201,18 +201,15 @@ def mapped_pencil(request):
 @pytest.mark.parametrize("how", ["k", "window"])
 def test_mapped_solve_matches_the_unmapped_pencil(mapped_pencil, how):
     pen = mapped_pencil
-    assert pen.kernel_map is not None
+    assert pen.kernel_basis is not None
 
-    def run(p):
-        if how == "k":
-            return solve(p, k=6, hint=40.0)
-        return solve_window(p, 80.0)
-
-    mapped = run(pen)
-    full = run(dataclasses.replace(pen, kernel_map=None))
+    mapped = solve(pen, k=6, hint=40.0) if how == "k" else solve_window(pen, 80.0)
+    full = solve(dataclasses.replace(pen, kernel_basis=None))
+    lam = full.eigenvalues
+    ref = lam[lam > 20.0][:6] if how == "k" else lam[lam <= 80.0]
     assert mapped.method == "shift-invert" and full.method == "dense"
-    assert len(mapped.eigenvalues) == len(full.eigenvalues) > 0
-    rel = np.abs(mapped.eigenvalues - full.eigenvalues) / full.eigenvalues
+    assert len(mapped.eigenvalues) == len(ref) > 0
+    rel = np.abs(mapped.eigenvalues - ref) / ref
     assert rel.max() <= 1e-12
     for spec in (mapped, full):
         assert spec.kernel_count == pen.n_free_h1
@@ -325,12 +322,12 @@ def test_tb_convergence_needs_no_refinement(monkeypatch):
 
 @pytest.fixture(scope="module")
 def td_pencil():
-    # TD at |n| > 1 has no exact kernel map: the kernel is thresholded.
+    # TD at |n| > 1 has no exact kernel basis: the kernel is thresholded.
     mesh = build_structured(1.0, 1.0, 4)
     prob = ModeProblem(mesh=mesh, n=2, transformation=Transformation("TD"),
                        q=3, p=2, quad_degree=12)
     pen = assemble(prob, build_pair(mesh, 3, 2))
-    assert pen.kernel_map is None
+    assert pen.kernel_basis is None
     return pen
 
 
@@ -370,4 +367,48 @@ def test_unmapped_sparse_window_matches_the_dense_window(td_pencil, monkeypatch)
     assert len(win.eigenvalues) == len(dense.eigenvalues) == 73
     assert np.allclose(win.eigenvalues, dense.eigenvalues, rtol=1e-9, atol=0.0)
     assert win.kernel_count == dense.kernel_count
+    assert win.kernel_threshold == dense.kernel_threshold == eigen_mod.KERNEL_REL * lam_cut
     assert win.residuals.max() <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("path", ["dense", "shift-invert"])
+def test_empty_window_carries_the_kernel_count(coupled_pencil, monkeypatch, path):
+    import axicav.eigen as eigen_mod
+
+    lam_hi = 0.5 * float(solve(coupled_pencil).eigenvalues[0])
+    if path == "shift-invert":
+        monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
+    win = solve_window(coupled_pencil, lam_hi)
+    assert win.method == path
+    assert win.eigenvalues.shape == win.residuals.shape == (0,)
+    assert win.eigenvectors.shape == (coupled_pencil.n_free, 0)
+    assert win.kernel_exact and win.kernel_count == coupled_pencil.n_free_h1
+
+
+def test_n0_tm_convergence_solves_the_inplane_block_by_shift_invert(monkeypatch):
+    # The in-plane block of an n = 0 TM study: its kernel is range G_s, so
+    # the k-solve neither needs dense storage nor thresholds the kernel.
+    import axicav.studies as studies
+    from axicav.studies import build_study_config, run_convergence
+
+    solved = []
+    real_solve = studies.solve
+
+    def recording_solve(pencil, *args, **kwargs):
+        solved.append((pencil, real_solve(pencil, *args, **kwargs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(studies, "solve", recording_solve)
+    cfg = build_study_config({
+        "study": "converge", "transforms": "TB;TC(1,2)", "n": "0", "q": "3", "p": "2",
+        "quad_degree": "12", "target": "TM,0,1,0", "mesh_ladder": "4,8,16",
+        "R": "1.58896231827513", "L": "1.5864125813982266",
+    })
+    rows, slopes = run_convergence(cfg)
+    pen, spec = solved[2]
+    assert pen.n_free == 3792
+    assert spec.method == "shift-invert" and spec.kernel_exact
+    G_s = pen.kernel_basis
+    assert spec.kernel_count == G_s.shape[1] == np.linalg.matrix_rank(
+        (G_s.T @ G_s).toarray(), hermitian=True)
+    assert 3.6 <= slopes["TB"] <= 4.6
