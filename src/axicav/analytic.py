@@ -32,6 +32,7 @@ __all__ = [
     "pillbox_spectrum",
     "group_modes",
     "match_spectra",
+    "count_spurious",
     "estimate_match_tol",
     "export_modes_csv",
 ]
@@ -161,6 +162,30 @@ def match_spectra(computed_lams, analytic_modes, rel_tol: float) -> MatchReport:
     for g, (omega, mds) in enumerate(groups):
         missed.extend(mds[taken[g]:])
     return MatchReport(pairs=pairs, spurious=spurious, missed=missed)
+
+
+def count_spurious(count_below, lam_lo: float, lam_hi: float, analytic_modes,
+                   rel_tol: float) -> int:
+    """match_spectra's spurious count of a spectrum known only by counts.
+
+    The computed eigenvalues all lie in (lam_lo, lam_hi], and count_below(s)
+    is the number of them below s, for lam_lo < s <= lam_hi.  The greedy
+    match sees a computed omega only through the tolerance bands
+    omega_g (1 -+ rel_tol) that hold it and through its order, so the band
+    edges inside the window cut it into intervals whose values all match
+    alike, overlapping bands included.  Each interval is counted, and its
+    midpoint in omega stands in for every value it holds.
+    """
+    groups = group_modes(sorted(analytic_modes, key=lambda md: md.omega))
+    edges = sorted({om * (1 + s * rel_tol) for om, _ in groups for s in (-1, 1)})
+    edges = [w for w in edges if lam_lo < w * w < lam_hi]
+    bounds = np.array([math.sqrt(lam_lo), *edges, math.sqrt(lam_hi)])
+    below = np.array([0, *(count_below(w * w) for w in edges), count_below(lam_hi)])
+    counts = np.diff(below)
+    if np.any(counts < 0):
+        raise ValueError(f"count_below is not monotone: {below.tolist()} at {bounds.tolist()}")
+    reps = 0.5 * (bounds[:-1] + bounds[1:])
+    return match_spectra(np.repeat(reps, counts) ** 2, analytic_modes, rel_tol).spurious_count
 
 
 def estimate_match_tol(computed_lams, analytic_modes) -> float:

@@ -25,6 +25,13 @@ solve shifts to half the analytic hint and takes the largest algebraic
 thetas, the modes above sigma; the kernel (theta = -1/sigma) never
 competes.  One rule (_dense_pays) picks dense storage for every pencil.
 
+A window can also be counted without being solved (count_window): the
+same inertia count, then more counts below any s in the window, one
+factorization each, and the window eigenvalues nearest a point, from one
+factorization at the point and a shift-invert Lanczos call for the
+extreme thetas on each side of it.  The spurious scan needs no more of a
+window flooded with spurious eigenvalues.
+
 The factors of K - sigma M drive the Lanczos iteration and, when a Lanczos
 pair misses RESIDUAL_TOL, one step of subspace inverse iteration with a
 Rayleigh-Ritz projection; a residual still above RESIDUAL_TOL after that
@@ -35,13 +42,16 @@ subspace, then fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-__all__ = ["Spectrum", "EigenSolverError", "solve", "solve_window", "filter_kernel", "DENSE_DIM"]
+__all__ = ["Spectrum", "EigenSolverError", "solve", "solve_window", "count_window",
+           "filter_kernel", "DENSE_DIM"]
 
 DENSE_DIM = 6000
 KERNEL_REL = 1e-8
@@ -323,8 +333,8 @@ def solve_window(pencil, lam_hi: float) -> Spectrum:
     The window is counted by inertia first, and exactly that many pairs are
     computed; a pair outside the window is an EigenSolverError.
     """
-    kernel_count, tau = _kernel(pencil, lam_hi)
-    count = _inertia(_factorize(pencil, lam_hi)) - kernel_count
+    win = count_window(pencil, lam_hi)
+    kernel_count, tau, count = win.kernel_count, win.tau, win.count
     if count <= 0:
         empty = np.empty(0)
         return Spectrum(empty, np.empty((pencil.n_free, 0)), kernel_count, tau, empty,
@@ -344,3 +354,101 @@ def solve_window(pencil, lam_hi: float) -> Spectrum:
             f"{where} returned [{vals[0]:.6g}, {vals[-1]:.6g}]"
         )
     return _spectrum(pencil, vals, vecs, kernel_count, tau, where, lu)
+
+
+@contextmanager
+def _named(where: str):
+    """Prefixes where to the message of an EigenSolverError raised inside."""
+    try:
+        yield
+    except EigenSolverError as exc:
+        raise EigenSolverError(f"{where}: {exc}") from exc
+
+
+@dataclass
+class WindowCount:
+    """The eigenvalues of a pencil in the window (tau, lam_hi], known by
+    inertia counts and a few shift-invert pairs instead of all their
+    eigenpairs (count_window)."""
+
+    pencil: object = field(repr=False)
+    lam_hi: float
+    kernel_count: int
+    tau: float
+    count: int
+    # (lo, hi, n): no window eigenvalue lies in (lo, hi), n lie below it
+    gaps: list = field(default_factory=list, repr=False)
+
+    def _where(self) -> str:
+        return f"window ({self.tau:.6g}, {self.lam_hi:.6g}]"
+
+    @cached_property
+    def _project(self):
+        """The kernel projector of window Lanczos, or None (_kernel_projector)."""
+        return _kernel_projector(self.pencil)
+
+    def below(self, s: float) -> int:
+        """Number of window eigenvalues below s, tau < s <= lam_hi: one
+        factorization, none when s lies in a gap that nearest found."""
+        if s == self.lam_hi:
+            return self.count
+        for lo, hi, n in self.gaps:
+            if lo < s <= hi:
+                return n
+        with _named(f"{self._where()}, count below {s:.6g}"):
+            return _inertia(_factorize(self.pencil, s)) - self.kernel_count
+
+    def nearest(self, lam: float) -> np.ndarray:
+        """Window eigenvalues around lam, tau < lam < lam_hi: a set that holds
+        the nearest one on each side of lam, from one factorization at
+        sigma = lam (1 + 3.7e-6).
+
+        Inertia tells which sides of sigma hold window eigenvalues; one
+        shift-invert Lanczos call, with the kernel projected out as in a
+        window solve, finds the nearest one on each such side, the extreme
+        thetas ("BE": the most negative theta lies below sigma, the largest
+        above).  While the pairs found below sigma all lie in
+        [lam, sigma), more are taken ("SA"), so that the set holds the
+        nearest one below lam too.  Every pair passes the residual check.
+        """
+        sigma = lam * 1.0000037
+        with _named(f"{self._where()}, omega={np.sqrt(lam):.6g}, sigma={sigma:.6g}"):
+            lu = _factorize(self.pencil, sigma)
+            n_below = _inertia(lu) - self.kernel_count
+            if 0 < n_below < self.count:
+                vals = self._pairs(lu, 2, sigma, "BE")
+            else:
+                vals = self._pairs(lu, 1, sigma, "SA" if n_below else "LA")
+            below, above = vals[vals < sigma], vals[vals > sigma]
+            k = 1
+            while k < n_below and below[0] >= lam:
+                k = min(2 * k, n_below)
+                below = self._pairs(lu, k, sigma, "SA")
+        lo = below[-1] if below.size else self.tau
+        self.gaps.append((lo, above[0] if above.size else self.lam_hi, n_below))
+        return np.concatenate([below, above])
+
+    def _pairs(self, lu, k, sigma, which) -> np.ndarray:
+        """Window eigenvalues nearest sigma: the k below it ("SA"), the k
+        above it ("LA"), or one on each side ("BE", k = 2).  An
+        EigenSolverError unless their pairs lie there and pass the residual
+        check."""
+        vals, vecs, ncv = _eigsh_guarded(self.pencil, lu, k, sigma, which, self._project)
+        where = f"shift-invert ({which}, k={k}, ncv={ncv})"
+        n_lo = {"SA": k, "LA": 0, "BE": 1}[which]
+        if (np.count_nonzero(vals < sigma) != n_lo or vals[0] <= self.tau
+                or vals[-1] > self.lam_hi):
+            raise EigenSolverError(f"{where} returned {np.array2string(vals, precision=6)}")
+        return _spectrum(self.pencil, vals, vecs, self.kernel_count, self.tau, where,
+                         lu).eigenvalues
+
+
+def count_window(pencil, lam_hi: float) -> WindowCount:
+    """The window (tau, lam_hi] of non-kernel eigenvalues, counted by inertia:
+    count = #below(lam_hi) - kernel_count.  No eigenpair is computed; the
+    result answers further counts (WindowCount.below) and finds the window
+    eigenvalues nearest a point (WindowCount.nearest)."""
+    with _named(f"window up to {lam_hi:.6g}"):
+        kernel_count, tau = _kernel(pencil, lam_hi)
+        count = _inertia(_factorize(pencil, lam_hi)) - kernel_count
+    return WindowCount(pencil, lam_hi, kernel_count, tau, count)

@@ -22,12 +22,14 @@ import numpy as np
 from .analytic import (
     bessel_prime_zero,
     bessel_zero,
+    count_spurious,
     estimate_match_tol,
+    group_modes,
     match_spectra,
     pillbox_spectrum,
 )
 from .assembly import assemble
-from .eigen import solve, solve_window
+from .eigen import count_window, solve, solve_window
 from .fespace import build_pair
 from .formulation import (
     ModeProblem,
@@ -445,7 +447,14 @@ def _first_modes(R: float, L: float, n: int, count: int):
 
 
 def run_spurious_scan(cfg: StudyConfig):
-    """Spurious-mode counts against the first `modes` analytic frequencies."""
+    """Spurious-mode counts against the first `modes` analytic frequencies.
+
+    Each window ends midway between analytic modes `modes` and `modes` + 1.
+    A window that holds no more eigenvalues than analytic modes is solved
+    and matched; a flooded one (TD at |n| > 1, q = p) is counted by inertia
+    with the same result, and none of its eigenpairs but the few nearest
+    the analytic frequencies is computed.
+    """
     rows, counts = [], {}
     modes_all = _first_modes(cfg.R, cfg.L, cfg.n, cfg.modes + 1)
     window = modes_all[: cfg.modes]
@@ -454,12 +463,26 @@ def run_spurious_scan(cfg: StudyConfig):
         for N in cfg.mesh_ladder:
             problem = _problem(cfg, tr, N)
             pencil = assemble(problem, build_pair(problem.mesh, problem.q, problem.p))
-            spec = solve_window(pencil, lam_cut)
-            tol = estimate_match_tol(spec.eigenvalues, window)
-            report = match_spectra(spec.eigenvalues, window, tol)
-            counts[(tr.label(), N)] = report.spurious_count
-            rows.append(_row(cfg, problem, pencil, spurious_count=report.spurious_count))
+            count = counts[(tr.label(), N)] = _spurious_count(pencil, window, lam_cut)
+            rows.append(_row(cfg, problem, pencil, spurious_count=count))
     return rows, counts
+
+
+def _spurious_count(pencil, window, lam_cut: float) -> int:
+    """Spurious eigenvalues of the pencil in the window up to lam_cut.
+
+    In a flooded window the eigenvalues nearest each analytic frequency hold
+    each mode's nearest one, so they give estimate_match_tol's tolerance
+    exactly; count_spurious then matches inertia counts.
+    """
+    win = count_window(pencil, lam_cut)
+    if win.count <= len(window):
+        spec = solve_window(pencil, lam_cut)
+        tol = estimate_match_tol(spec.eigenvalues, window)
+        return match_spectra(spec.eigenvalues, window, tol).spurious_count
+    near = np.concatenate([win.nearest(omega**2) for omega, _ in group_modes(window)])
+    tol = estimate_match_tol(near, window)
+    return count_spurious(win.below, win.tau, lam_cut, window, tol)
 
 
 def run_alphabeta_scan(cfg: StudyConfig):

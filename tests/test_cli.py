@@ -90,6 +90,20 @@ def test_spurious_run(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_spurious_gate_on_a_flooded_scan(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "study = spurious\ntransforms = TD\nn = 2\nq = 2\np = 1\n"
+        "mesh_ladder = 4\nquad_degree = 12\n"
+        f"output = {out}\nexpect_spurious_max = 0\n"
+    )
+    assert main(["spurious", "--config", str(cfg)]) == 4
+    assert "GATE: spurious count 37 > 0" in capsys.readouterr().out
+    header, row = out.read_text().splitlines()
+    assert row.split(",")[header.split(",").index("spurious_count")] == "37"
+
+
 def test_alphabeta_run(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     cfg = tmp_path / "ab.cfg"

@@ -412,3 +412,41 @@ def test_n0_tm_convergence_solves_the_inplane_block_by_shift_invert(monkeypatch)
     assert spec.kernel_count == G_s.shape[1] == np.linalg.matrix_rank(
         (G_s.T @ G_s).toarray(), hermitian=True)
     assert 3.6 <= slopes["TB"] <= 4.6
+
+
+def _diagonal_pencil(vals):
+    return _pencil_from_dense(np.diag(vals), np.eye(len(vals)))
+
+
+def test_window_count_finds_the_neighbours_of_a_crowded_point():
+    # Two eigenvalues lie between lam = 4 and the shift 4 (1 + 3.7e-6), so
+    # the first pair found below the shift is not the nearest one below lam.
+    from axicav.eigen import count_window
+
+    window = np.concatenate([np.linspace(1.0, 3.5, 60), [4.000004, 4.000008],
+                             np.linspace(4.5, 7.5, 60)])
+    win = count_window(_diagonal_pencil(np.concatenate([np.zeros(5), window, [9.0, 12.0]])),
+                       8.0)
+    assert (win.kernel_count, win.count) == (5, len(window))
+    near = win.nearest(4.0)
+    assert np.any(np.isclose(near, 3.5, rtol=1e-12, atol=0.0))
+    assert np.any(np.isclose(near, 4.000004, rtol=1e-12, atol=0.0))
+    assert np.any(np.isclose(near, 4.5, rtol=1e-12, atol=0.0))
+    # counts inside the gap that nearest found and outside it agree with the spectrum
+    for s in (1.7, 3.9, 4.0, 4.000006, 4.2, 6.0, 8.0):
+        assert win.below(s) == np.searchsorted(window, s)
+
+
+def test_window_count_errors_name_the_window_and_the_shift(monkeypatch):
+    import axicav.eigen as eigen_mod
+
+    win = eigen_mod.count_window(_diagonal_pencil(np.linspace(1.0, 10.0, 80)), 8.0)
+    real = eigen_mod._eigsh_guarded
+
+    def wrong_side(pencil, lu, k, sigma, which, project=None):
+        vals, vecs, ncv = real(pencil, lu, k, sigma, which, project)
+        return vals + 1.0, vecs, ncv
+
+    monkeypatch.setattr(eigen_mod, "_eigsh_guarded", wrong_side)
+    with pytest.raises(EigenSolverError, match=r"window \(8e-08, 8\], omega=2, sigma=4\.00001"):
+        win.nearest(4.0)

@@ -225,6 +225,55 @@ def test_run_spurious_scan_small():
     assert rows[0].spurious_count == 0
 
 
+# Flooded windows of the first eight unit-pillbox modes: (transform, n, q, p, D, N, spurious)
+_FLOODED = [
+    ("TB", 1, 2, 2, 7, 4, 61), ("TB", 1, 2, 2, 7, 8, 265),
+    ("TD", 2, 2, 1, 12, 4, 37), ("TD", 2, 2, 1, 12, 8, 165),
+    ("TD", 2, 3, 2, 12, 4, 65), ("TD", 2, 3, 2, 12, 8, 281),
+]
+
+
+@pytest.mark.parametrize("kind,n,q,p,D,N,spurious", _FLOODED)
+def test_flooded_window_count_equals_the_solved_match(kind, n, q, p, D, N, spurious,
+                                                      monkeypatch):
+    from axicav import eigen
+    from axicav.analytic import estimate_match_tol, match_spectra, pillbox_spectrum
+    from axicav.assembly import assemble
+    from axicav.fespace import build_pair
+    from axicav.formulation import ModeProblem
+    from axicav.mesh import build_structured
+
+    mesh = build_structured(1.0, 1.0, N)
+    problem = ModeProblem(mesh=mesh, n=n, transformation=Transformation(kind), q=q, p=p,
+                          quad_degree=D)
+    pencil = assemble(problem, build_pair(mesh, q, p))
+    modes = pillbox_spectrum(1.0, 1.0, n, 200.0)
+    window, lam_cut = modes[:8], 0.5 * (modes[7].lam + modes[8].lam)
+    spec = eigen.solve_window(pencil, lam_cut)
+    tol = estimate_match_tol(spec.eigenvalues, window)
+    solved = match_spectra(spec.eigenvalues, window, tol).spurious_count
+
+    calls = Counter()
+    for module, name in ((eigen, "_eigh"), (studies, "solve_window")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert studies._spurious_count(pencil, window, lam_cut) == solved == spurious
+    assert not calls
+
+
+def test_spurious_scan_counts_the_benchmark_cavity():
+    # spectrum_dense of perfbench on cavity 0 of seed 1, two meshes
+    cfg = build_study_config({
+        "study": "spurious", "transforms": "TB;TD", "n": "2", "q": "3", "p": "2",
+        "quad_degree": "12", "mesh_ladder": "4,8", "modes": "8",
+        "R": "1.58896231827513", "L": "1.5864125813982266",
+    })
+    counts = run_spurious_scan(cfg)[1]
+    assert counts == {("TB", 4): 0, ("TB", 8): 0, ("TD", 4): 65, ("TD", 8): 281}
+
+
 def test_reconstruct_field_phi_structure():
     from axicav.assembly import assemble
     from axicav.eigen import solve
@@ -307,6 +356,10 @@ _TINY_STUDIES = {
                   studies.run_quadrature_sweep),
     "spurious": ({"transforms": "TB", "mesh_ladder": "2,3", "modes": "3"},
                  studies.run_spurious_scan),
+    # TD at n = 2 floods the window: its rows are counted, not solved
+    "spurious-flooded": ({"transforms": "TD", "n": "2", "target": "TE,2,1,1",
+                          "quad_degree": "12", "mesh_ladder": "2,3", "modes": "3"},
+                         studies.run_spurious_scan),
     "alphabeta": ({"transforms": "TC(1,1)", "mesh_ladder": "2,3"}, studies.run_alphabeta_scan),
     "regularity": ({"transforms": "TC(1,1)", "mesh_ladder": "4"}, studies.run_regularity),
 }
@@ -321,13 +374,17 @@ def test_studies_call_the_layers_through_the_module(study, monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(studies, name, counted)
     extra, runner = _TINY_STUDIES[study]
-    rows = runner(build_study_config(_entries(study, p="1", **extra)))[0]
-    eigen, other = ("solve_window", "solve") if study == "spurious" else ("solve", "solve_window")
+    kind = study.split("-")[0]
+    rows = runner(build_study_config(_entries(kind, p="1", **extra)))[0]
+    eigen, other = ("solve_window", "solve") if kind == "spurious" else ("solve", "solve_window")
+    solved = 0 if study == "spurious-flooded" else len(rows)
     assert len(rows) > 0
-    for name in ("build_structured", "build_pair", "assemble", eigen):
+    for name in ("build_structured", "build_pair", "assemble"):
         assert calls[name] == len(rows), name
+    assert calls[eigen] == solved
     assert calls[other] == 0
     assert calls["rule_for_degree"] >= len(rows)
     assert calls["pillbox_spectrum"] >= 1
-    matches = len(rows) if study == "spurious" else 0
-    assert calls["estimate_match_tol"] == calls["match_spectra"] == matches
+    matched = len(rows) if kind == "spurious" else 0
+    assert calls["estimate_match_tol"] == matched
+    assert calls["match_spectra"] == (solved if kind == "spurious" else 0)
