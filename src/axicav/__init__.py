@@ -15,9 +15,7 @@ from .mesh import (
     MeshConsistencyError,
     build_structured,
     classify_boundary,
-    export_text,
     locate_point,
-    refine,
 )
 from .quadrature import QuadratureRule, integrate, monomial_integral, rule_for_degree
 from .fespace import (
@@ -56,9 +54,8 @@ from .assembly import (
     apply_constraints,
     assemble,
     collect_constraints,
-    dump_matrix,
 )
-from .eigen import DENSE_DIM, EigenSolverError, Spectrum, filter_kernel, solve, solve_window
+from .eigen import DENSE_DIM, EigenSolverError, Spectrum, solve, solve_window
 from .analytic import (
     AnalyticMode,
     MatchReport,

@@ -40,7 +40,6 @@ __all__ = [
     "assemble",
     "apply_constraints",
     "collect_constraints",
-    "dump_matrix",
 ]
 
 
@@ -256,11 +255,3 @@ def assemble(problem: ModeProblem, pair: FeSpacePair) -> AssembledPencil:
         kernel_basis=_kernel_basis(problem, pair, free, n_free_h1),
     )
 
-
-def dump_matrix(A, path) -> None:
-    """Coordinate text dump: one 'i j value' line per stored entry."""
-    coo = sparse.coo_matrix(A)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i} {j} {v:.17g}\n")

@@ -3,41 +3,34 @@
 The H(curl) spaces carry a large discrete gradient kernel: the curl-curl
 pencil has a zero eigenvalue of multiplicity equal to the number of free
 scalar dofs (n != 0, q <= p + 1) or to the number of scalar potentials off
-the PEC walls (n = 0).  Assembly supplies it as a sparse basis Z with
-range Z = ker K (AssembledPencil.kernel_basis); then kernel_count is Z's
-column count on every path and nothing is thresholded.  Pencils without a
-basis (TD with |n| > 1, unpaired orders) count as kernel the eigenvalues
-below tau = KERNEL_REL * max(1, top of the solve).  Residuals are always
-checked on the original pencil.
+the PEC walls (n = 0).  One rule counts it on every path (_kernel): with a
+sparse basis Z of ker K from assembly (AssembledPencil.kernel_basis), Z's
+column count, nothing thresholded; without one (TD with |n| > 1, unpaired
+orders), the eigenvalues below tau = KERNEL_REL * max(1, top), top being a
+window's upper end or the last eigenvalue a k-solve returns.
 
-Window solves count before they solve: the negative pivots of a
-symmetric-mode factor of K - s M number the eigenvalues below s
-(_inertia), so the window (tau, lam_hi] holds count = #below(lam_hi) -
-kernel eigenvalues, kernel being Z's columns (tau = 0) or #below(tau).
-Dense storage keeps exactly those count pairs above the kernel from one
-full eigh; shift-invert Lanczos at the window's midpoint sigma asks for
-exactly count pairs, the count largest |theta| under
-theta = 1/(lambda - sigma), on P (K - sigma M)^-1 with P the M-orthogonal
-projector off range Z, so the degenerate kernel cluster is not in the
-Krylov space at all.  On both paths a pair outside the window is an
-EigenSolverError, and an empty window computes nothing.  The k-lowest
-solve shifts to half the analytic hint and takes the largest algebraic
-thetas, the modes above sigma; the kernel (theta = -1/sigma) never
-competes.  One rule (_dense_pays) picks dense storage for every pencil.
+Windows are counted before they are solved (count_window): the negative
+pivots of a symmetric-mode factor of K - s M number the eigenvalues below
+s (_inertia), so the window (tau, lam_hi] holds count = #below(lam_hi) -
+kernel eigenvalues.  WindowCount.solve computes exactly those count pairs,
+from one eigh or from one shift-invert Lanczos call at the window's
+midpoint sigma for the count largest |theta| under theta = 1/(lambda -
+sigma), on P (K - sigma M)^-1 with P the M-orthogonal projector off range
+Z, so the degenerate kernel cluster is not in the Krylov space at all.  A
+window flooded with spurious eigenvalues need not be solved: more inertia
+counts and the eigenvalues nearest a few points describe it.  The k-lowest
+solve takes the k lowest eigenvalues above half the analytic hint: a slice
+of one eigh, or the largest algebraic thetas at sigma = hint / 2, the modes
+above sigma; the kernel (theta = -1/sigma) never competes.  One rule
+(_dense_pays) picks dense storage for every pencil.
 
-A window can also be counted without being solved (count_window): the
-same inertia count, then more counts below any s in the window, one
-factorization each, and the window eigenvalues nearest a point, from one
-factorization at the point and a shift-invert Lanczos call for the
-extreme thetas on each side of it.  The spurious scan needs no more of a
-window flooded with spurious eigenvalues.
-
-The factors of K - sigma M drive the Lanczos iteration and, when a Lanczos
-pair misses RESIDUAL_TOL, one step of subspace inverse iteration with a
-Rayleigh-Ritz projection; a residual still above RESIDUAL_TOL after that
-step is an EigenSolverError, never a retry.  Lanczos that does not
-converge within a bounded number of restarts is retried once on a larger
-subspace, then fails.
+Residuals are always checked on the original pencil.  The factors of
+K - sigma M drive the Lanczos iteration and, when a Lanczos pair misses
+RESIDUAL_TOL, one step of subspace inverse iteration with a Rayleigh-Ritz
+projection; a residual still above RESIDUAL_TOL after that step is an
+EigenSolverError, never a retry.  Lanczos that does not converge within a
+bounded number of restarts is retried once on a larger subspace, then
+fails.
 """
 
 from __future__ import annotations
@@ -50,8 +43,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-__all__ = ["Spectrum", "EigenSolverError", "solve", "solve_window", "count_window",
-           "filter_kernel", "DENSE_DIM"]
+__all__ = ["Spectrum", "EigenSolverError", "solve", "solve_window", "count_window", "DENSE_DIM"]
 
 DENSE_DIM = 6000
 KERNEL_REL = 1e-8
@@ -80,18 +72,6 @@ class Spectrum:
         return self.kernel_threshold == 0.0
 
 
-def filter_kernel(raw: np.ndarray):
-    """Partition eigenvalues into kernel (lambda < tau) and physical.
-
-    tau = KERNEL_REL * max(1, largest computed eigenvalue).
-    """
-    raw = np.asarray(raw, dtype=float)
-    lam_max = raw.max() if raw.size else 1.0
-    tau = KERNEL_REL * max(1.0, lam_max)
-    kernel = raw < tau
-    return kernel, tau
-
-
 def _residuals(K, M, vals, vecs):
     if len(vals) == 0:
         return np.empty(0)
@@ -112,23 +92,6 @@ def _eigh(pencil):
         return eigh(K, M, driver="gvd", overwrite_a=True, overwrite_b=True)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"dense factorization failed: {exc}") from exc
-
-
-def _dense_solve(pencil, lo=-np.inf, k=None) -> Spectrum:
-    """Dense eigenpairs with lambda > lo, the k lowest of them.
-
-    With a kernel basis Z the lowest Z.shape[1] eigenvalues are the
-    kernel; without one, those below filter_kernel's threshold.
-    """
-    vals, vecs = _eigh(pencil)
-    if pencil.kernel_basis is not None:
-        kernel_count, tau = pencil.kernel_basis.shape[1], 0.0
-        kernel = np.arange(len(vals)) < kernel_count
-    else:
-        kernel, tau = filter_kernel(vals)
-        kernel_count = int(kernel.sum())
-    idx = np.nonzero(~kernel & (vals > lo))[0][:k]
-    return _spectrum(pencil, vals[idx], vecs[:, idx], kernel_count, tau, "dense")
 
 
 def _dense_pays(pencil, wanted: int) -> bool:
@@ -196,13 +159,13 @@ def _kernel_projector(pencil):
     return lambda u: u - Z @ lu.solve(MZt @ u)
 
 
-def _kernel(pencil, lam_hi: float):
-    """(kernel count, threshold tau) of a solve up to lam_hi: Z's columns
-    and tau = 0 with a kernel basis, else the inertia below
-    tau = KERNEL_REL * max(1, lam_hi)."""
+def _kernel(pencil, top: float):
+    """(kernel count, threshold tau) of a solve up to top: Z's columns and
+    tau = 0 with a kernel basis, else the inertia below
+    tau = KERNEL_REL * max(1, top)."""
     if pencil.kernel_basis is not None:
         return pencil.kernel_basis.shape[1], 0.0
-    tau = KERNEL_REL * max(1.0, lam_hi)
+    tau = KERNEL_REL * max(1.0, top)
     return _inertia(_factorize(pencil, tau)), tau
 
 
@@ -295,65 +258,33 @@ def _spectrum(pencil, vals, vecs, kernel_count, tau, where, lu=None) -> Spectrum
     return Spectrum(vals, vecs, kernel_count, tau, res, "dense" if lu is None else "shift-invert")
 
 
-def solve(pencil, k: int | None = None, hint: float | None = None) -> Spectrum:
-    """Lowest non-kernel eigenpairs of K x = lambda M x.
-
-    k = None computes the full spectrum (dense path only).  With an
-    analytic eigenvalue estimate hint, both paths return the k lowest
-    eigenpairs above 0.5 * hint, where the shift-invert target sits; a
-    sparse k-solve needs the hint.
+def solve(pencil, k: int, hint: float) -> Spectrum:
+    """The k lowest eigenpairs of K x = lambda M x above 0.5 * hint, where
+    hint is an analytic eigenvalue estimate and the shift-invert target
+    sits; fewer when fewer lie there.  The kernel is counted up to the last
+    returned eigenvalue (_kernel).
     """
-    n = pencil.n_free
-    lo = -np.inf if hint is None else 0.5 * hint
-    if k is None:
-        if n > DENSE_DIM:
-            raise EigenSolverError(
-                f"full-spectrum solve requested for dimension {n} > {DENSE_DIM}"
-            )
-        return _dense_solve(pencil, lo=lo)
-    k_req = min(k + 5, n - 1)
+    lo = 0.5 * hint
+    k_req = min(k + 5, pencil.n_free - 1)
     if _dense_pays(pencil, k_req):
-        return _dense_solve(pencil, lo=lo, k=k)
-    if hint is None:
-        raise EigenSolverError(
-            f"sparse solve for k={k} at dimension {n} needs an eigenvalue hint"
-        )
-
-    sigma = lo * 1.0000037  # avoid landing exactly on an eigenvalue
-    lu = _factorize(pencil, sigma)
-    vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LA")
-    kernel_count, tau = _kernel(pencil, float(vals[k - 1]))
-    where = f"shift-invert (sigma={sigma:.6g}, k={k_req}, ncv={ncv})"
-    return _spectrum(pencil, vals[:k], vecs[:, :k], kernel_count, tau, where, lu)
+        vals, vecs = _eigh(pencil)
+        keep = np.nonzero(vals > lo)[0][:k]
+        vals, vecs, lu, where = vals[keep], vecs[:, keep], None, "dense"
+    else:
+        sigma = lo * 1.0000037  # avoid landing exactly on an eigenvalue
+        lu = _factorize(pencil, sigma)
+        vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LA")
+        vals, vecs = vals[:k], vecs[:, :k]
+        where = f"shift-invert (sigma={sigma:.6g}, k={k_req}, ncv={ncv})"
+    kernel_count, tau = _kernel(pencil, float(vals[-1]) if vals.size else lo)
+    return _spectrum(pencil, vals, vecs, kernel_count, tau, where, lu)
 
 
 def solve_window(pencil, lam_hi: float) -> Spectrum:
-    """All non-kernel eigenpairs with lambda <= lam_hi.
-
-    The window is counted by inertia first, and exactly that many pairs are
-    computed; a pair outside the window is an EigenSolverError.
-    """
-    win = count_window(pencil, lam_hi)
-    kernel_count, tau, count = win.kernel_count, win.tau, win.count
-    if count <= 0:
-        empty = np.empty(0)
-        return Spectrum(empty, np.empty((pencil.n_free, 0)), kernel_count, tau, empty,
-                        "dense" if _dense_pays(pencil, 0) else "shift-invert")
-    if _dense_pays(pencil, count):
-        vals, vecs = _eigh(pencil)
-        keep = slice(kernel_count, kernel_count + count)
-        vals, vecs, lu, where = vals[keep], vecs[:, keep].copy(), None, "dense"
-    else:
-        sigma = 0.5 * (tau + lam_hi) * 1.0000037
-        lu = _factorize(pencil, sigma)
-        vals, vecs, ncv = _eigsh_guarded(pencil, lu, count, sigma, "LM", _kernel_projector(pencil))
-        where = f"shift-invert (sigma={sigma:.6g}, k={count}, ncv={ncv})"
-    if vals[0] <= tau or vals[-1] > lam_hi:
-        raise EigenSolverError(
-            f"window ({tau:.6g}, {lam_hi:.6g}] holds {count} eigenvalues, but "
-            f"{where} returned [{vals[0]:.6g}, {vals[-1]:.6g}]"
-        )
-    return _spectrum(pencil, vals, vecs, kernel_count, tau, where, lu)
+    """All non-kernel eigenpairs with lambda <= lam_hi: the window is counted
+    by inertia, then exactly that many pairs are computed
+    (count_window(pencil, lam_hi).solve())."""
+    return count_window(pencil, lam_hi).solve()
 
 
 @contextmanager
@@ -367,9 +298,9 @@ def _named(where: str):
 
 @dataclass
 class WindowCount:
-    """The eigenvalues of a pencil in the window (tau, lam_hi], known by
-    inertia counts and a few shift-invert pairs instead of all their
-    eigenpairs (count_window)."""
+    """The eigenvalues of a pencil in the window (tau, lam_hi], counted by
+    inertia (count_window): further counts and the eigenvalues nearest a
+    point take a few shift-invert pairs, and solve() computes them all."""
 
     pencil: object = field(repr=False)
     lam_hi: float
@@ -416,38 +347,62 @@ class WindowCount:
             lu = _factorize(self.pencil, sigma)
             n_below = _inertia(lu) - self.kernel_count
             if 0 < n_below < self.count:
-                vals = self._pairs(lu, 2, sigma, "BE")
+                vals = self._pairs(lu, 2, sigma, "BE").eigenvalues
             else:
-                vals = self._pairs(lu, 1, sigma, "SA" if n_below else "LA")
+                vals = self._pairs(lu, 1, sigma, "SA" if n_below else "LA").eigenvalues
             below, above = vals[vals < sigma], vals[vals > sigma]
             k = 1
             while k < n_below and below[0] >= lam:
                 k = min(2 * k, n_below)
-                below = self._pairs(lu, k, sigma, "SA")
+                below = self._pairs(lu, k, sigma, "SA").eigenvalues
         lo = below[-1] if below.size else self.tau
         self.gaps.append((lo, above[0] if above.size else self.lam_hi, n_below))
         return np.concatenate([below, above])
 
-    def _pairs(self, lu, k, sigma, which) -> np.ndarray:
-        """Window eigenvalues nearest sigma: the k below it ("SA"), the k
-        above it ("LA"), or one on each side ("BE", k = 2).  An
-        EigenSolverError unless their pairs lie there and pass the residual
-        check."""
+    def solve(self) -> Spectrum:
+        """The count eigenpairs of the window, ascending: kept above the
+        kernel from one eigh when dense storage pays (_dense_pays), else from
+        one shift-invert Lanczos call at the window's midpoint ("LM", the
+        kernel projected out).  A pair outside the window is an
+        EigenSolverError; an empty window computes nothing."""
+        pencil, count = self.pencil, self.count
+        if count <= 0:
+            empty = np.empty(0)
+            return Spectrum(empty, np.empty((pencil.n_free, 0)), self.kernel_count, self.tau,
+                            empty, "dense" if _dense_pays(pencil, 0) else "shift-invert")
+        if not _dense_pays(pencil, count):
+            sigma = 0.5 * (self.tau + self.lam_hi) * 1.0000037
+            with _named(f"{self._where()}, sigma={sigma:.6g}"):
+                return self._pairs(_factorize(pencil, sigma), count, sigma, "LM")
+        vals, vecs = _eigh(pencil)
+        keep = slice(self.kernel_count, self.kernel_count + count)
+        vals, vecs = vals[keep], vecs[:, keep].copy()
+        if vals[0] <= self.tau or vals[-1] > self.lam_hi:
+            raise EigenSolverError(
+                f"{self._where()} holds {count} eigenvalues, but dense returned "
+                f"[{vals[0]:.6g}, {vals[-1]:.6g}]"
+            )
+        return _spectrum(pencil, vals, vecs, self.kernel_count, self.tau, "dense")
+
+    def _pairs(self, lu, k, sigma, which) -> Spectrum:
+        """Window eigenpairs by shift-invert Lanczos: the k nearest sigma
+        ("LM"), the k below it ("SA"), the k above it ("LA"), or one on each
+        side ("BE", k = 2).  An EigenSolverError unless they lie in the
+        window, on those sides of sigma, and pass the residual check."""
         vals, vecs, ncv = _eigsh_guarded(self.pencil, lu, k, sigma, which, self._project)
         where = f"shift-invert ({which}, k={k}, ncv={ncv})"
-        n_lo = {"SA": k, "LA": 0, "BE": 1}[which]
-        if (np.count_nonzero(vals < sigma) != n_lo or vals[0] <= self.tau
-                or vals[-1] > self.lam_hi):
+        n_lo = {"SA": k, "LA": 0, "BE": 1}.get(which)
+        if ((n_lo is not None and np.count_nonzero(vals < sigma) != n_lo)
+                or vals[0] <= self.tau or vals[-1] > self.lam_hi):
             raise EigenSolverError(f"{where} returned {np.array2string(vals, precision=6)}")
-        return _spectrum(self.pencil, vals, vecs, self.kernel_count, self.tau, where,
-                         lu).eigenvalues
+        return _spectrum(self.pencil, vals, vecs, self.kernel_count, self.tau, where, lu)
 
 
 def count_window(pencil, lam_hi: float) -> WindowCount:
     """The window (tau, lam_hi] of non-kernel eigenvalues, counted by inertia:
     count = #below(lam_hi) - kernel_count.  No eigenpair is computed; the
-    result answers further counts (WindowCount.below) and finds the window
-    eigenvalues nearest a point (WindowCount.nearest)."""
+    result answers further counts (WindowCount.below), finds the window
+    eigenvalues nearest a point (WindowCount.nearest) or solves it."""
     with _named(f"window up to {lam_hi:.6g}"):
         kernel_count, tau = _kernel(pencil, lam_hi)
         count = _inertia(_factorize(pencil, lam_hi)) - kernel_count

@@ -22,9 +22,7 @@ __all__ = [
     "MeshConsistencyError",
     "build_structured",
     "classify_boundary",
-    "refine",
     "locate_point",
-    "export_text",
 ]
 
 
@@ -186,11 +184,6 @@ def classify_boundary(mesh: CrossSectionMesh) -> dict:
     return tags
 
 
-def refine(mesh: CrossSectionMesh) -> CrossSectionMesh:
-    """Halve the mesh size: identical to build_structured(R, L, 2N)."""
-    return build_structured(mesh.R, mesh.L, 2 * mesh.N)
-
-
 def locate_point(mesh: CrossSectionMesh, r: float, z: float) -> tuple[int, np.ndarray]:
     """Find the triangle containing (r, z) and its barycentric coordinates.
 
@@ -218,12 +211,3 @@ def locate_point(mesh: CrossSectionMesh, r: float, z: float) -> tuple[int, np.nd
     bary = np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
     return t, bary
 
-
-def export_text(mesh: CrossSectionMesh, path) -> None:
-    """Plain-text dump: header, one node per line, one triangle per line."""
-    with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.n_nodes} triangles {mesh.n_triangles}\n")
-        for r, z in mesh.nodes:
-            fh.write(f"{r:.17g} {z:.17g}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")

@@ -4,11 +4,19 @@ Poly2 is a bivariate polynomial with exact derivatives.  forward_bundles
 maps a random polynomial *physical* field (e_r, e_phi, e_z) into each
 transformation's (u, U) variables with hand-derived chain rules, so the
 library's inverse route and this forward route check each other.
+dense_spectrum is the full-spectrum reference of a pencil.
 """
 
 import numpy as np
+from scipy.linalg import eigh
 
 from axicav.formulation import TransformedValues
+
+
+def dense_spectrum(pencil):
+    """Every eigenpair of the pencil, kernel included, ascending: scipy's
+    eigh on its dense K and M."""
+    return eigh(pencil.K.toarray(), pencil.M.toarray())
 
 
 class Poly2:

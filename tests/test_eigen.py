@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from _oracles import dense_spectrum
 from axicav.assembly import AssembledPencil, assemble
-from axicav.eigen import RESIDUAL_TOL, EigenSolverError, filter_kernel, solve, solve_window
+from axicav.eigen import RESIDUAL_TOL, EigenSolverError, solve, solve_window
 from axicav.fespace import build_pair
 from axicav.formulation import ModeProblem, Transformation
 from axicav.mesh import build_structured
@@ -26,15 +26,27 @@ def _pencil_from_dense(K, M):
     )
 
 
+def _whole(pen):
+    """The library's window up to the top eigenvalue: every non-kernel pair."""
+    return solve_window(pen, 1.001 * dense_spectrum(pen)[0][-1])
+
+
+def _physical(pen):
+    """Reference eigenpairs above the kernel of a pencil whose kernel
+    dimension is its free scalar dof count."""
+    vals, vecs = dense_spectrum(pen)
+    return vals[pen.n_free_h1:], vecs[:, pen.n_free_h1:]
+
+
 def test_diagonal_pencil():
     pen = _pencil_from_dense(np.diag([2.0, 8.0]), np.diag([1.0, 2.0]))
-    spec = solve(pen)
+    spec = _whole(pen)
     assert np.allclose(spec.eigenvalues, [2.0, 4.0])
 
 
 def test_kernel_filtering_in_solve():
     pen = _pencil_from_dense(np.diag([0.0, 2.0]), np.eye(2))
-    spec = solve(pen)
+    spec = _whole(pen)
     assert spec.kernel_count == 1
     assert np.allclose(spec.eigenvalues, [2.0])
 
@@ -44,24 +56,13 @@ def test_identity_pencil_random_spd():
     A = rng.standard_normal((30, 30))
     M = A @ A.T + 30 * np.eye(30)
     pen = _pencil_from_dense(M.copy(), M)
-    spec = solve(pen)
+    spec = _whole(pen)
     assert np.allclose(spec.eigenvalues, 1.0, atol=1e-12)
-
-
-def test_filter_kernel_partition():
-    kernel, tau = filter_kernel(np.array([0.0, 1e-14, 3.2, 9.1]))
-    assert kernel.tolist() == [True, True, False, False]
-    assert tau == pytest.approx(1e-8 * 9.1)
-
-
-def test_filter_kernel_empty_when_all_large():
-    kernel, tau = filter_kernel(np.array([5.0, 7.0]))
-    assert not kernel.any()
 
 
 def test_residuals_recorded():
     pen = _pencil_from_dense(np.diag([1.0, 4.0, 9.0]), np.eye(3))
-    spec = solve(pen)
+    spec = _whole(pen)
     assert np.all(spec.residuals <= 1e-8)
 
 
@@ -75,7 +76,7 @@ def coupled_pencil():
 
 
 def test_kernel_dimension_equals_free_h1(coupled_pencil):
-    spec = solve(coupled_pencil)
+    spec = _whole(coupled_pencil)
     assert spec.kernel_count == coupled_pencil.n_free_h1
 
 
@@ -86,13 +87,13 @@ def test_azimuthal_block_has_empty_kernel():
     prob = ModeProblem(mesh=mesh, n=0, transformation=Transformation("TB"),
                        q=2, p=1, quad_degree=8, block="azimuthal")
     pen = assemble(prob, pair)
-    spec = solve(pen)
+    spec = _whole(pen)
     assert spec.kernel_count == 0
     assert spec.eigenvalues.min() > 1.0
 
 
 def test_eigenvalues_invariant_under_renumbering(coupled_pencil):
-    spec = solve(coupled_pencil)
+    spec = _whole(coupled_pencil)
     rng = np.random.default_rng(1)
     perm = rng.permutation(coupled_pencil.n_free)
     P = sparse.coo_matrix(
@@ -107,7 +108,7 @@ def test_eigenvalues_invariant_under_renumbering(coupled_pencil):
         constrained=np.empty(0, dtype=int),
         n_free_h1=coupled_pencil.n_free_h1,
     )
-    spec2 = solve(pen2)
+    spec2 = _whole(pen2)
     a, b = spec.eigenvalues, spec2.eigenvalues
     m = min(len(a), len(b))
     assert np.max(np.abs(a[:m] - b[:m]) / np.abs(a[:m])) < 1e-10
@@ -116,35 +117,27 @@ def test_eigenvalues_invariant_under_renumbering(coupled_pencil):
 def test_sparse_path_matches_dense(coupled_pencil):
     import axicav.eigen as eigen_mod
 
-    dense = solve(coupled_pencil)
+    lam = _physical(coupled_pencil)[0]
     old = eigen_mod.DENSE_DIM
     eigen_mod.DENSE_DIM = 10  # force the shift-invert path
     try:
-        sparse_spec = solve(coupled_pencil, k=5, hint=float(dense.eigenvalues[0]))
-        win = solve_window(coupled_pencil, float(dense.eigenvalues[4] * 1.0001))
+        sparse_spec = solve(coupled_pencil, k=5, hint=float(lam[0]))
+        win = solve_window(coupled_pencil, float(lam[4] * 1.0001))
     finally:
         eigen_mod.DENSE_DIM = old
-    assert np.allclose(sparse_spec.eigenvalues, dense.eigenvalues[:5], rtol=1e-9)
-    assert np.allclose(win.eigenvalues, dense.eigenvalues[:5], rtol=1e-9)
+    assert np.allclose(sparse_spec.eigenvalues, lam[:5], rtol=1e-9)
+    assert np.allclose(win.eigenvalues, lam[:5], rtol=1e-9)
     assert sparse_spec.method == "shift-invert"
 
 
 @pytest.mark.parametrize("j", [0, 4, 9])
 def test_dense_k_solve_starts_above_half_hint(coupled_pencil, j):
-    full = solve(coupled_pencil)
-    hint = float(full.eigenvalues[j] + full.eigenvalues[j + 1])  # hint / 2 between j, j + 1
+    lam = _physical(coupled_pencil)[0]
+    hint = float(lam[j] + lam[j + 1])  # hint / 2 between j, j + 1
     spec = solve(coupled_pencil, k=4, hint=hint)
-    expect = full.eigenvalues[full.eigenvalues > 0.5 * hint][:4]
+    expect = lam[lam > 0.5 * hint][:4]
     assert spec.method == "dense"
     assert np.array_equal(spec.eigenvalues, expect)
-
-
-def test_sparse_k_solve_needs_hint(coupled_pencil, monkeypatch):
-    import axicav.eigen as eigen_mod
-
-    monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
-    with pytest.raises(EigenSolverError, match="hint"):
-        solve(coupled_pencil, k=3)
 
 
 def test_sparse_residual_failure_is_immediate(coupled_pencil, monkeypatch):
@@ -168,10 +161,10 @@ def test_sparse_residual_failure_is_immediate(coupled_pencil, monkeypatch):
 def test_refinement_lowers_residual(coupled_pencil):
     from axicav.eigen import _factorize, _refine, _residuals
 
-    dense = solve(coupled_pencil)
-    vals, vecs = dense.eigenvalues[:3], dense.eigenvectors[:, :3]
+    lam, X = _physical(coupled_pencil)
+    vals, vecs = lam[:3], X[:, :3]
     # Lanczos errors live mostly along the high end of the spectrum
-    high = dense.eigenvectors[:, -10:]
+    high = X[:, -10:]
     noisy = vecs + 1e-6 * high @ np.random.default_rng(3).standard_normal((10, 3))
     K, M = coupled_pencil.K, coupled_pencil.M
     before = _residuals(K, M, vals, noisy)
@@ -183,8 +176,7 @@ def test_refinement_lowers_residual(coupled_pencil):
 
 
 def test_window_solve_dense(coupled_pencil):
-    dense = solve(coupled_pencil)
-    hi = float(dense.eigenvalues[2]) * 1.0001
+    hi = float(_physical(coupled_pencil)[0][2]) * 1.0001
     win = solve_window(coupled_pencil, hi)
     assert len(win.eigenvalues) == 3
 
@@ -204,7 +196,7 @@ def test_mapped_solve_matches_the_unmapped_pencil(mapped_pencil, how):
     assert pen.kernel_basis is not None
 
     mapped = solve(pen, k=6, hint=40.0) if how == "k" else solve_window(pen, 80.0)
-    full = solve(dataclasses.replace(pen, kernel_basis=None))
+    full = _whole(dataclasses.replace(pen, kernel_basis=None))
     lam = full.eigenvalues
     ref = lam[lam > 20.0][:6] if how == "k" else lam[lam <= 80.0]
     assert mapped.method == "shift-invert" and full.method == "dense"
@@ -271,7 +263,7 @@ def test_shifted_pencil_is_factored_in_symmetric_mode():
 def test_window_lanczos_projects_out_the_kernel(coupled_pencil, monkeypatch):
     import axicav.eigen as eigen_mod
 
-    dense = solve(coupled_pencil)
+    lam = _physical(coupled_pencil)[0]
     calls = []
     real_eigsh = eigen_mod.eigsh
 
@@ -281,11 +273,11 @@ def test_window_lanczos_projects_out_the_kernel(coupled_pencil, monkeypatch):
 
     monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
     monkeypatch.setattr(eigen_mod, "eigsh", counting_eigsh)
-    win = solve_window(coupled_pencil, float(dense.eigenvalues[4] * 1.0001))
+    win = solve_window(coupled_pencil, float(lam[4] * 1.0001))
     assert len(calls) == 1
     assert win.method == "shift-invert"
     assert win.kernel_exact and win.kernel_count == coupled_pencil.n_free_h1
-    assert np.allclose(win.eigenvalues, dense.eigenvalues[:5], rtol=1e-9, atol=0.0)
+    assert np.allclose(win.eigenvalues, lam[:5], rtol=1e-9, atol=0.0)
 
 
 def test_tb_convergence_needs_no_refinement(monkeypatch):
@@ -336,9 +328,9 @@ def test_inertia_counts_the_eigenvalues_below_the_shift(coupled_pencil, td_penci
     from axicav.eigen import _factorize, _inertia
 
     pen = coupled_pencil if which == "mapped" else td_pencil
-    vals = eigh(pen.K.toarray(), pen.M.toarray(), eigvals_only=True)
+    vals = dense_spectrum(pen)[0]
     # shifts between the kernel and the first mode, and between later modes
-    for j in solve(pen).kernel_count - 1 + np.array([0, 1, 5, 20, 60]):
+    for j in _whole(pen).kernel_count - 1 + np.array([0, 1, 5, 20, 60]):
         s = 0.5 * (vals[j] + vals[j + 1])
         assert _inertia(_factorize(pen, s)) == j + 1
 
@@ -371,11 +363,30 @@ def test_unmapped_sparse_window_matches_the_dense_window(td_pencil, monkeypatch)
     assert win.residuals.max() <= RESIDUAL_TOL
 
 
+@pytest.mark.parametrize("N", [4, 8, 12])
+def test_dense_k_solve_counts_the_kernel_below_its_last_eigenvalue(N):
+    # Without a kernel basis the threshold follows the top of the solve, as
+    # on every other path, not the largest eigenvalue of the pencil.
+    from axicav.eigen import KERNEL_REL, _dense_pays, _factorize, _inertia
+
+    mesh = build_structured(1.0, 1.0, N)
+    prob = ModeProblem(mesh=mesh, n=2, transformation=Transformation("TD"),
+                       q=3, p=2, quad_degree=12)
+    pen = assemble(prob, build_pair(mesh, 3, 2))
+    k = pen.n_free // 16
+    assert pen.kernel_basis is None and _dense_pays(pen, k + 5)
+    spec = solve(pen, k=k, hint=2.0)
+    assert spec.method == "dense" and len(spec.eigenvalues) == k
+    tau = spec.kernel_threshold
+    assert tau == KERNEL_REL * max(1.0, spec.eigenvalues[-1])
+    assert spec.kernel_count == _inertia(_factorize(pen, tau))
+
+
 @pytest.mark.parametrize("path", ["dense", "shift-invert"])
 def test_empty_window_carries_the_kernel_count(coupled_pencil, monkeypatch, path):
     import axicav.eigen as eigen_mod
 
-    lam_hi = 0.5 * float(solve(coupled_pencil).eigenvalues[0])
+    lam_hi = 0.5 * float(_physical(coupled_pencil)[0][0])
     if path == "shift-invert":
         monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
     win = solve_window(coupled_pencil, lam_hi)

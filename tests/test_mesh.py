@@ -5,9 +5,7 @@ from axicav.mesh import (
     BoundaryTag,
     build_structured,
     classify_boundary,
-    export_text,
     locate_point,
-    refine,
 )
 
 
@@ -39,19 +37,9 @@ def test_invalid_parameters(bad):
         build_structured(*bad)
 
 
-def test_refine_doubles_n():
-    m = build_structured(1.0, 1.0, 2)
-    m2 = refine(m)
-    assert m2.N == 4
-    assert m2.n_triangles == 32
-    m3 = refine(m2)
-    assert m3.N == 8
-    assert (m3.R, m3.L) == (m.R, m.L)
-
-
 def test_refinement_nesting():
     m = build_structured(1.0, 1.0, 3)
-    m2 = refine(m)
+    m2 = build_structured(1.0, 1.0, 2 * m.N)
     fine = {tuple(p) for p in m2.nodes}
     for p in m.nodes:
         assert tuple(p) in fine  # bitwise identical coordinates
@@ -125,14 +113,3 @@ def test_locate_point_rejects_points_outside_the_cross_section():
     for r, z in ((0.0, 0.0), (1.0, 2.0), (1.0 + 1e-13, 0.3), (0.2, -1e-13)):
         t, bary = locate_point(m, r, z)
         assert np.allclose(bary @ m.nodes[m.triangles[t]], [r, z], atol=1e-12)
-
-
-def test_export_text(tmp_path):
-    m = build_structured(1.0, 1.0, 2)
-    path = tmp_path / "mesh.txt"
-    export_text(m, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "nodes 9 triangles 8"
-    assert len(lines) == 1 + 9 + 8
-    i, j, k = map(int, lines[-1].split())
-    assert max(i, j, k) < 9

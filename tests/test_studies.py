@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -11,6 +13,7 @@ from axicav.studies import (
     ConfigError,
     StudyConfig,
     StudyRow,
+    TargetNotMatchedError,
     build_study_config,
     fit_slope,
     load_study_config,
@@ -388,3 +391,38 @@ def test_studies_call_the_layers_through_the_module(study, monkeypatch):
     matched = len(rows) if kind == "spurious" else 0
     assert calls["estimate_match_tol"] == matched
     assert calls["match_spectra"] == (solved if kind == "spurious" else 0)
+
+
+_RUNNERS = {
+    "converge": studies.run_convergence,
+    "spurious": studies.run_spurious_scan,
+    "quadsweep": studies.run_quadrature_sweep,
+    "alphabeta": studies.run_alphabeta_scan,
+    "regularity": studies.run_regularity,
+}
+
+
+def test_config_sweep_ends_in_rows_or_a_clear_error():
+    # Every study on each transformation, mode number and order pair that the
+    # README documents ends quickly in rows, a ConfigError or a
+    # TargetNotMatchedError; any other exception fails the test.
+    tally = Counter()
+    grid = itertools.product(_RUNNERS, ("TA", "TB", "TD", "TC(1,1)", "TC(1,2)", "TC(0.5,1)"),
+                             (0, 1, 2), ((2, 1), (3, 2), (2, 2)))
+    for study, transform, n, (q, p) in grid:
+        entries = {"study": study, "transforms": transform, "n": str(n), "q": str(q),
+                   "p": str(p), "mesh_ladder": "2,4"}
+        if study != "spurious":
+            entries["target"] = f"TE,{n},1,1"
+        if study == "quadsweep":
+            entries["quad_degrees"] = "9,15"
+        start = time.perf_counter()
+        try:
+            rows = _RUNNERS[study](build_study_config(entries))[0]
+            assert rows
+            tally["rows"] += 1
+        except (ConfigError, TargetNotMatchedError) as exc:
+            tally[type(exc).__name__] += 1
+        elapsed = time.perf_counter() - start
+        assert elapsed <= 5.0, (study, transform, n, q, p, elapsed)
+    assert tally == {"rows": 114, "ConfigError": 147, "TargetNotMatchedError": 9}
