@@ -29,10 +29,11 @@ problem = ModeProblem(mesh=mesh, n=0, transformation=tr, q=2, p=2, quad_degree=7
 pencil = assemble(problem, pair)
 
 spectrum = solve(pencil, k=3, hint=j01**2)
-lam = spectrum.eigenvalues[np.argmin(np.abs(spectrum.eigenvalues - j01**2))]
+idx = int(np.argmin(np.abs(spectrum.eigenvalues - j01**2)))
+lam = spectrum.eigenvalues[idx]
 print(f"computed omega/c0 = {np.sqrt(lam):.8f}, analytic j01 = {j01:.8f}")
 
-vec = pencil.expand(spectrum.eigenvectors[:, 0])
+vec = pencil.expand(spectrum.eigenvectors[:, idx])
 
 # Normalize so e_z(r -> 0) ~ 1, then compare with J_0(j01 r).
 e_axis = reconstruct_field(pair, tr, 0, vec, 1e-6, 0.0, 0.5)

@@ -259,23 +259,23 @@ def _spectrum(pencil, vals, vecs, kernel_count, tau, where, lu=None) -> Spectrum
 
 
 def solve(pencil, k: int, hint: float) -> Spectrum:
-    """The k lowest eigenpairs of K x = lambda M x above 0.5 * hint, where
-    hint is an analytic eigenvalue estimate and the shift-invert target
-    sits; fewer when fewer lie there.  The kernel is counted up to the last
-    returned eigenvalue (_kernel).
+    """The k lowest eigenpairs of K x = lambda M x above the floor
+    0.5 * hint, where the shift-invert shift sits; fewer when fewer lie
+    there.  Exactly k pairs are asked of Lanczos, none more: the kernel
+    (theta = -1/sigma) never competes with the "LA" thetas above the floor.
+    The kernel is counted up to the last returned eigenvalue (_kernel).
     """
     lo = 0.5 * hint
-    k_req = min(k + 5, pencil.n_free - 1)
-    if _dense_pays(pencil, k_req):
+    k = min(k, pencil.n_free - 1)
+    if _dense_pays(pencil, k):
         vals, vecs = _eigh(pencil)
         keep = np.nonzero(vals > lo)[0][:k]
         vals, vecs, lu, where = vals[keep], vecs[:, keep], None, "dense"
     else:
         sigma = lo * 1.0000037  # avoid landing exactly on an eigenvalue
         lu = _factorize(pencil, sigma)
-        vals, vecs, ncv = _eigsh_guarded(pencil, lu, k_req, sigma, "LA")
-        vals, vecs = vals[:k], vecs[:, :k]
-        where = f"shift-invert (sigma={sigma:.6g}, k={k_req}, ncv={ncv})"
+        vals, vecs, ncv = _eigsh_guarded(pencil, lu, k, sigma, "LA")
+        where = f"shift-invert (sigma={sigma:.6g}, k={k}, ncv={ncv})"
     kernel_count, tau = _kernel(pencil, float(vals[-1]) if vals.size else lo)
     return _spectrum(pencil, vals, vecs, kernel_count, tau, where, lu)
 

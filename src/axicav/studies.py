@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analytic import (
+    GROUP_RTOL,
     bessel_prime_zero,
     bessel_zero,
     count_spurious,
@@ -366,26 +367,58 @@ def _row(cfg: StudyConfig, problem: ModeProblem, pencil, **values) -> StudyRow:
     )
 
 
+def _target_interval(cfg: StudyConfig) -> tuple:
+    """(lo, hi, a) around the target among the analytic modes of the solved
+    block: lo the midpoint of the analytic gap that holds lambda_t / 2
+    (lambda_t / 2 itself when no mode lies below it), hi the midpoint
+    between the target's group and the next one, a the number of analytic
+    modes in (lo, hi) with multiplicity.  Midpoints are taken in lambda."""
+    families = {"full": ("TM", "TE"), "azimuthal": ("TE",), "inplane": ("TM",)}[_block_for(cfg)]
+    lam_t = cfg.target.lam(cfg.R, cfg.L)
+    lam_max = 2.0 * lam_t
+    while True:
+        modes = pillbox_spectrum(cfg.R, cfg.L, cfg.n, lam_max, families)
+        above = [md.lam for md in modes if md.omega > math.sqrt(lam_t) * (1 + GROUP_RTOL)]
+        if above:
+            break
+        lam_max *= 2
+    lams = [md.lam for md in modes]
+    under = [lam for lam in lams if lam <= 0.5 * lam_t]
+    lo = 0.5 * (under[-1] + lams[len(under)]) if under else 0.5 * lam_t
+    hi = 0.5 * (lam_t + above[0])
+    return lo, hi, sum(lo < lam < hi for lam in lams)
+
+
 def _target_solve(cfg: StudyConfig, problem: ModeProblem):
-    """Solve near the target mode; returns the target's study row, and the
-    spectrum, the target's index in it, the pair and the pencil."""
+    """Solve for the target mode; returns the target's study row, and the
+    spectrum, the target's index in it, the pair and the pencil.
+
+    One solve takes the a + 1 lowest non-kernel pairs above lo, for the
+    interval (lo, hi) that holds a analytic modes around the target
+    (_target_interval).  More than a of them below hi means spurious
+    eigenvalues crowd the target: a TargetNotMatchedError on every mesh.
+    Otherwise the target is the eigenvalue nearest lambda_t, accepted
+    within 25% in omega.
+    """
     lam_t = cfg.target.lam(cfg.R, cfg.L)
     pair = build_pair(problem.mesh, problem.q, problem.p)
     pencil = assemble(problem, pair)
-    families = {"full": ("TM", "TE"), "azimuthal": ("TE",), "inplane": ("TM",)}[problem.block]
-    below = [
-        md for md in pillbox_spectrum(cfg.R, cfg.L, cfg.n, lam_t * 1.05, families)
-        if md.lam > 0.5 * lam_t
-    ]
-    k = len(below) + 5
-    spec = solve(pencil, k=k, hint=lam_t)
+    lo, hi, a = _target_interval(cfg)
+    spec = solve(pencil, k=a + 1, hint=2.0 * lo)
+    where = (f"{problem.transformation.label()} N={problem.mesh.N}: target "
+             f"{cfg.target.mode_id}")
+    found = int(np.count_nonzero(spec.eigenvalues < hi))
+    if found > a:
+        raise TargetNotMatchedError(
+            f"{where}: the interval ({lo:.6g}, {hi:.6g}) in lambda holds at least {found} "
+            f"eigenvalues where the pillbox has a = {a}; spurious eigenvalues crowd the target"
+        )
     idx = int(np.argmin(np.abs(spec.eigenvalues - lam_t)))
     omega = math.sqrt(spec.eigenvalues[idx])
     omega_t = math.sqrt(lam_t)
     if abs(omega - omega_t) > 0.25 * omega_t:
         raise TargetNotMatchedError(
-            f"{problem.transformation.label()} N={problem.mesh.N}: target "
-            f"{cfg.target.mode_id} at omega={omega_t:.6g} not matched; nearest computed "
+            f"{where} at omega={omega_t:.6g} not matched; nearest computed "
             f"omega={omega:.6g}, window={np.sqrt(spec.eigenvalues).round(4).tolist()}"
         )
     row = _row(cfg, problem, pencil, mode_id=cfg.target.mode_id, omega_numeric=omega,

@@ -221,6 +221,55 @@ def test_high_target_found_on_dense_path():
     assert rows[-1].rel_error < rows[0].rel_error
 
 
+@pytest.mark.parametrize("kind", ["TB", "TD", "TC(1,1)"])
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_flooded_target_interval_raises_on_every_mesh(kind, N):
+    # With q = p = 2 at n = 1 spurious eigenvalues crowd TE111: the interval
+    # around it holds more eigenvalues than analytic modes on every mesh.
+    cfg = _cfg(transforms=(Transformation.parse(kind),), q=2, p=2)
+    lo, hi, a = studies._target_interval(cfg)
+    assert a == 1
+    with pytest.raises(TargetNotMatchedError) as info:
+        studies._target_solve(cfg, studies._problem(cfg, cfg.transforms[0], N))
+    msg = str(info.value)
+    assert f"{kind} N={N}" in msg and "TE111" in msg
+    assert f"interval ({lo:.6g}, {hi:.6g})" in msg
+    assert "at least 2 eigenvalues" in msg and "a = 1" in msg
+
+
+@pytest.mark.parametrize("N", [4, 8, 16])
+def test_target_solve_factors_once_and_asks_for_two_pairs(N, monkeypatch):
+    # The benchmark's convergence config: TE111 is alone in its interval, so
+    # one factorization at the floor and one Lanczos call for a + 1 = 2 pairs.
+    import axicav.eigen as eigen_mod
+
+    calls = []
+    for name in ("_factorize", "_eigsh_guarded"):
+        def counted(*args, _name=name, _original=getattr(eigen_mod, name), **kwargs):
+            calls.append((_name, args[2] if _name == "_eigsh_guarded" else None))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(eigen_mod, name, counted)
+    cfg = _cfg(transforms=(Transformation.parse("TC(1,1)"),), q=3, p=2)
+    row = studies._target_solve(cfg, studies._problem(cfg, cfg.transforms[0], N))[0]
+    assert row.rel_error < 1e-4
+    assert calls == [("_factorize", None), ("_eigsh_guarded", 2)]
+
+
+def test_cli_converge_on_a_flooded_pairing_is_a_target_error(tmp_path, capsys):
+    from axicav.cli import main
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "study = converge\ntransforms = TB\nn = 1\nq = 2\np = 2\n"
+        f"mesh_ladder = 2,4\ntarget = TE,1,1,1\noutput = {tmp_path / 'rows.csv'}\n"
+    )
+    lo, hi, _ = studies._target_interval(load_study_config(cfg))
+    assert main(["converge", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: TB N=2: target TE111")
+    assert f"interval ({lo:.6g}, {hi:.6g})" in err and "a = 1" in err
+
+
 def test_run_spurious_scan_small():
     cfg = _cfg(study="spurious", mesh_ladder=(4,), modes=3)
     rows, counts = run_spurious_scan(cfg)
@@ -425,4 +474,4 @@ def test_config_sweep_ends_in_rows_or_a_clear_error():
             tally[type(exc).__name__] += 1
         elapsed = time.perf_counter() - start
         assert elapsed <= 5.0, (study, transform, n, q, p, elapsed)
-    assert tally == {"rows": 114, "ConfigError": 147, "TargetNotMatchedError": 9}
+    assert tally == {"rows": 95, "ConfigError": 147, "TargetNotMatchedError": 28}
