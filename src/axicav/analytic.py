@@ -91,6 +91,8 @@ class AnalyticMode:
 def pillbox_spectrum(R: float, L: float, n: int, lam_max: float,
                      families=("TM", "TE")) -> list:
     """All modes with azimuthal index |n| and omega^2 <= lam_max, sorted."""
+    if not all(math.isfinite(x) for x in (R, L, lam_max)):
+        raise ValueError(f"R, L and lam_max must be finite, got {R}, {L}, {lam_max}")
     if R <= 0 or L <= 0:
         raise ValueError("R and L must be positive")
     m = abs(int(n))

@@ -16,7 +16,11 @@ space of the trace map.
 
 Element bases are constructed numerically in translation-reduced physical
 coordinates and shared across congruent elements, which keeps structured
-meshes down to a handful of distinct element constructions.
+meshes down to a handful of distinct element constructions.  Both element
+kinds hold monomial coefficients and tabulate every derivative from one rule:
+the (d_r, d_z) derivative of each monomial.  The H(curl) trace lift is the
+pseudo-inverse of the trace map.  Each edge lists its dofs once (H1
+edge_trace_dofs, H(curl) edge_dofs); cell_dofs reads its edge blocks there.
 
 The discrete gradient G maps H1 coefficients to the H(curl) coefficients of
 their gradients.  With q <= p + 1 the gradients lie in the H(curl) space, so
@@ -28,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.polynomial.legendre import legval
+from numpy.polynomial.legendre import legvander
 from scipy import sparse
-from scipy.linalg import solve_triangular
+from scipy.linalg import null_space, pinv, solve_triangular
 from scipy.sparse.linalg import splu
 
 from .formulation import TransformedValues
@@ -58,29 +62,19 @@ def _monomial_exponents(deg: int) -> np.ndarray:
     return np.array(out, dtype=int)
 
 
-def _design(expts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    return pts[:, 0:1] ** expts[:, 0] * pts[:, 1:2] ** expts[:, 1]
+# (d_r, d_z) orders of the element tables, by derivative order: the value,
+# the gradient and the (rr, rz, zz) Hessian
+_DERIVS = (((0, 0),), ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2)))
 
 
-def _design_grad(expts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0:1], pts[:, 1:2]
-    a, b = expts[:, 0], expts[:, 1]
-    dx = np.where(a > 0, a * x ** np.maximum(a - 1, 0) * y**b, 0.0)
-    dy = np.where(b > 0, b * x**a * y ** np.maximum(b - 1, 0), 0.0)
-    return np.stack([dx, dy], axis=-1)  # (npts, nmono, 2)
-
-
-def _design_hess(expts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0:1], pts[:, 1:2]
-    a, b = expts[:, 0], expts[:, 1]
-    dxx = np.where(a > 1, a * (a - 1) * x ** np.maximum(a - 2, 0) * y**b, 0.0)
-    dxy = np.where(
-        (a > 0) & (b > 0),
-        a * b * x ** np.maximum(a - 1, 0) * y ** np.maximum(b - 1, 0),
-        0.0,
-    )
-    dyy = np.where(b > 1, b * (b - 1) * x**a * y ** np.maximum(b - 2, 0), 0.0)
-    return np.stack([dxx, dxy, dyy], axis=-1)  # (npts, nmono, 3)
+def _design(expts: np.ndarray, pts: np.ndarray, d=(0, 0)) -> np.ndarray:
+    """The d = (d_r, d_z) derivative of every monomial x^a y^b at the points,
+    (npts, nmono): the falling factorials a (a-1) .. (a-d_r+1) and
+    b (b-1) .. (b-d_z+1) times x^(a-d_r) y^(b-d_z), zero once a power drops
+    below zero."""
+    falling = [np.prod(expts[:, c : c + 1] - np.arange(d[c]), axis=1) for c in (0, 1)]
+    power = np.maximum(expts - d, 0)
+    return falling[0] * falling[1] * pts[:, 0:1] ** power[:, 0] * pts[:, 1:2] ** power[:, 1]
 
 
 def _h1_lattice(q: int):
@@ -106,7 +100,11 @@ def _h1_lattice(q: int):
 
 class _Element:
     """Local basis of one element class, tabulated in the centered, scaled
-    coordinates (x - centroid) / scale of the class representative."""
+    coordinates (x - centroid) / scale of the class representative.
+
+    coeff holds the monomial coefficients of the basis, one column per basis
+    function; a vector basis stacks its r block over its z block.
+    """
 
     def __init__(self, verts: np.ndarray, deg: int):
         self.centroid = verts.mean(axis=0)
@@ -118,6 +116,24 @@ class _Element:
         """Basis tables at barycentric points of any element of the class."""
         return self.eval_centered(bary @ self.offsets / self.scale, nderiv)
 
+    def eval_centered(self, pts_c: np.ndarray, nderiv: int):
+        """The value table, then one table per derivative order up to nderiv,
+        its last axis running over the (d_r, d_z) of that order in _DERIVS.
+
+        H1 gives values (np, nloc), the gradient (np, nloc, 2) and the
+        (rr, rz, zz) Hessian (np, nloc, 3); H(curl) gives values (np, nloc, 2)
+        and the Jacobian (np, nloc, 2, 2) with jac[..., i, j] = d U_i / d x_j.
+        """
+        comps = self.coeff.reshape(-1, len(self.expts), self.coeff.shape[1])
+        if nderiv > 1 and len(comps) > 1:
+            raise ValueError("H(curl) elements tabulate values and first derivatives only")
+        tabs = []
+        for k, ds in enumerate(_DERIVS[: nderiv + 1]):
+            tab = np.stack([_design(self.expts, pts_c, d) @ comps for d in ds], axis=-1)
+            tab = np.moveaxis(tab, 0, -2) / self.scale**k  # (np, nloc, ncomp, nd)
+            tabs.append(tab[..., 0, :] if len(comps) == 1 else tab)
+        return (tabs[0][..., 0],) + tuple(tabs[1:])
+
 
 class _ScalarElement(_Element):
     """Lattice Lagrange basis of order q on one physical triangle."""
@@ -128,31 +144,18 @@ class _ScalarElement(_Element):
         pts_c = (pts - self.centroid) / self.scale
         self.coeff = np.linalg.inv(_design(self.expts, pts_c))  # column j: basis j
 
-    def eval_centered(self, pts_c: np.ndarray, nderiv: int):
-        val = _design(self.expts, pts_c) @ self.coeff
-        if nderiv == 0:
-            return (val,)
-        grad = np.einsum(
-            "pmc,ml->plc", _design_grad(self.expts, pts_c), self.coeff
-        ) / self.scale
-        if nderiv == 1:
-            return val, grad
-        hess = np.einsum(
-            "pmc,ml->plc", _design_hess(self.expts, pts_c), self.coeff
-        ) / self.scale**2
-        return val, grad, hess
-
 
 class _VectorElement(_Element):
     """Full [P_p]^2 basis with Legendre tangential-trace edge dofs."""
 
     def __init__(self, verts: np.ndarray, p: int, flips: tuple):
         super().__init__(verts, p)
-        nm = len(self.expts)
-
         n_edge_dof = p + 1
         gauss_x, gauss_w = np.polynomial.legendre.leggauss(p + 2)
-        T = np.zeros((3 * n_edge_dof, 2 * nm))
+        # row k: the Gauss weights of the Legendre moment (k + 1/2) int L_k v ds
+        leg = legvander(gauss_x, p) * gauss_w[:, None]  # (ng, n_edge_dof)
+        moments = (np.arange(n_edge_dof)[:, None] + 0.5) * leg.T
+        T = np.zeros((3 * n_edge_dof, 2 * len(self.expts)))
         for le, (a, b) in enumerate(_LOCAL_EDGES):
             va, vb = verts[a], verts[b]
             if flips[le]:
@@ -165,43 +168,13 @@ class _VectorElement(_Element):
             trace = np.concatenate(
                 [mono * tangent[0], mono * tangent[1]], axis=1
             )  # (ng, 2nm): v(s).t for each monomial column
-            for k in range(n_edge_dof):
-                leg = legval(gauss_x, np.eye(n_edge_dof)[k])
-                T[le * n_edge_dof + k] = (
-                    (k + 0.5) * (gauss_w * leg) @ trace
-                )
+            T[le * n_edge_dof : (le + 1) * n_edge_dof] = moments @ trace
 
-        U, s, Vt = np.linalg.svd(T)
-        rank = int(np.sum(s > 1e-10 * s[0]))
-        if rank != 3 * n_edge_dof:
-            raise RuntimeError(
-                f"tangential trace map rank {rank}, expected {3 * n_edge_dof}"
-            )
-        # Minimum-norm lift: column (edge, k) has unit Legendre trace there.
-        lift = Vt[:rank].T @ (U[:, :rank] / s[None, :rank]).T
-        interior = Vt[rank:].T  # (2nm, n_int)
-        self.coeff = np.hstack([lift, interior])  # (2nm, n_loc)
+        # Minimum-norm lift: column (edge, k) has unit Legendre trace there;
+        # the interior functions span the null space of the trace map.
+        self.coeff = np.hstack([pinv(T), null_space(T)])  # (2nm, n_loc)
         self.n_loc = self.coeff.shape[1]
         self.n_interior = self.n_loc - 3 * n_edge_dof
-
-    def eval_centered(self, pts_c: np.ndarray, nderiv: int):
-        if nderiv > 1:
-            raise ValueError("H(curl) elements tabulate values and first derivatives only")
-        nm = len(self.expts)
-        mono = _design(self.expts, pts_c)
-        cr, cz = self.coeff[:nm], self.coeff[nm:]
-        val = np.stack([mono @ cr, mono @ cz], axis=-1)  # (np, nloc, 2)
-        if nderiv == 0:
-            return (val,)
-        g = _design_grad(self.expts, pts_c) / self.scale  # (np, nm, 2)
-        jac = np.stack(
-            [
-                np.stack([g[..., 0] @ cr, g[..., 1] @ cr], axis=-1),
-                np.stack([g[..., 0] @ cz, g[..., 1] @ cz], axis=-1),
-            ],
-            axis=-2,
-        )  # (np, nloc, 2, 2): jac[..., i, j] = d U_i / d x_j
-        return val, jac
 
 
 def _det(verts: np.ndarray) -> float:
@@ -315,25 +288,26 @@ def build_h1(mesh: CrossSectionMesh, q: int) -> H1Space:
     edge_base = mesh.n_nodes
     cell_base = edge_base + n_edge_int * mesh.n_edges
 
+    # Edge e carries its low node, its q - 1 interior dofs walked low node ->
+    # high node, then its high node.
+    edge_trace = np.zeros((mesh.n_edges, q + 1), dtype=int)
+    edge_trace[:, 0] = mesh.edges[:, 0]
+    edge_trace[:, q] = mesh.edges[:, 1]
+    edge_trace[:, 1:q] = (
+        edge_base + np.arange(mesh.n_edges)[:, None] * n_edge_int + np.arange(n_edge_int)
+    )
+
     flips = _edge_flips(mesh)
-    n_loc = (q + 1) * (q + 2) // 2
-    cell_dofs = np.zeros((nt, n_loc), dtype=int)
+    cell_dofs = np.zeros((nt, (q + 1) * (q + 2) // 2), dtype=int)
     cell_dofs[:, 0:3] = mesh.triangles
-    pos = 3
-    for le in range(3):
-        E = mesh.tri_edges[:, le]
-        block = edge_base + E[:, None] * n_edge_int + np.arange(n_edge_int)
-        if n_edge_int:
-            fwd = block
-            rev = block[:, ::-1]
-            cell_dofs[:, pos : pos + n_edge_int] = np.where(
-                flips[:, le : le + 1], rev, fwd
-            )
-        pos += n_edge_int
-    if n_cell_int:
-        cell_dofs[:, pos:] = (
-            cell_base + np.arange(nt)[:, None] * n_cell_int + np.arange(n_cell_int)
+    for le in range(3):  # the edge blocks, reversed where the local edge runs high -> low
+        block = edge_trace[mesh.tri_edges[:, le], 1:q]
+        cell_dofs[:, 3 + le * n_edge_int : 3 + (le + 1) * n_edge_int] = np.where(
+            flips[:, le : le + 1], block[:, ::-1], block
         )
+    cell_dofs[:, 3 + 3 * n_edge_int :] = (
+        cell_base + np.arange(nt)[:, None] * n_cell_int + np.arange(n_cell_int)
+    )
 
     # Dof coordinates: vertex = node, edge dofs walk low node -> high node.
     dof_points = np.zeros((ndof, 2))
@@ -349,14 +323,6 @@ def build_h1(mesh: CrossSectionMesh, q: int) -> H1Space:
         verts = mesh.nodes[mesh.triangles]
         pts = np.einsum("lk,tkc->tlc", lat / q, verts)
         dof_points[cell_base:] = pts.reshape(-1, 2)
-
-    edge_trace = np.zeros((mesh.n_edges, q + 1), dtype=int)
-    edge_trace[:, 0] = mesh.edges[:, 0]
-    edge_trace[:, q] = mesh.edges[:, 1]
-    if n_edge_int:
-        edge_trace[:, 1:q] = (
-            edge_base + np.arange(mesh.n_edges)[:, None] * n_edge_int + np.arange(n_edge_int)
-        )
 
     class_of, first = _element_classes(mesh)
     verts = mesh.nodes[mesh.triangles]
@@ -383,18 +349,11 @@ def build_hcurl(mesh: CrossSectionMesh, p: int) -> HCurlSpace:
     ndof = n_edge_dof * mesh.n_edges + n_int * nt
     cell_base = n_edge_dof * mesh.n_edges
 
-    cell_dofs = np.zeros((nt, 3 * n_edge_dof + n_int), dtype=int)
-    for le in range(3):
-        E = mesh.tri_edges[:, le]
-        cell_dofs[:, le * n_edge_dof : (le + 1) * n_edge_dof] = (
-            E[:, None] * n_edge_dof + np.arange(n_edge_dof)
-        )
-    if n_int:
-        cell_dofs[:, 3 * n_edge_dof :] = (
-            cell_base + np.arange(nt)[:, None] * n_int + np.arange(n_int)
-        )
-
     edge_dofs = np.arange(mesh.n_edges)[:, None] * n_edge_dof + np.arange(n_edge_dof)
+    cell_dofs = np.hstack([  # the three edge blocks in local edge order, then the interior
+        edge_dofs[mesh.tri_edges].reshape(nt, 3 * n_edge_dof),
+        cell_base + np.arange(nt)[:, None] * n_int + np.arange(n_int),
+    ])
 
     flips = _edge_flips(mesh)
     class_of, first = _element_classes(mesh, flips)

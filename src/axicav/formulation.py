@@ -389,12 +389,12 @@ def polynomial_integrand_predicate(transformation: Transformation, n: int) -> bo
     if kind == "TD":
         return abs(n) == 1
     a, b = transformation.alpha, transformation.beta
+    if n == 0:  # alpha enters no n = 0 integrand
+        return _is_half_integer(b) and b >= 1.5
     if not (_is_half_integer(a) and _is_half_integer(b)):
         return False
     if abs((a + b) - round(a + b)) > 1e-12:
         return False
-    if n == 0:
-        return b >= 1.5
     return a >= 0.5 and b >= 0.5
 
 

@@ -289,6 +289,10 @@ def build_study_config(entries: dict) -> StudyConfig:
     if modes is None or modes < 1:
         raise ConfigError(f"modes must be a positive integer, got {entries['modes']!r}")
 
+    R, L = getf("R", 1.0), getf("L", 1.0)
+    if not (math.isfinite(R) and math.isfinite(L)):
+        raise ConfigError(f"R and L must be finite, got R={R}, L={L}")
+
     cfg = StudyConfig(
         study=study,
         transforms=transforms,
@@ -300,8 +304,8 @@ def build_study_config(entries: dict) -> StudyConfig:
         quad_degrees=_parse_ladder(entries.get("quad_degrees", ""), "quad_degrees", 0),
         target=target,
         modes=modes,
-        R=getf("R", 1.0),
-        L=getf("L", 1.0),
+        R=R,
+        L=L,
         output=entries.get("output"),
         expect_slope_min=getf("expect_slope_min"),
         expect_slope_max=getf("expect_slope_max"),
@@ -407,6 +411,11 @@ def _target_solve(cfg: StudyConfig, problem: ModeProblem):
     spec = solve(pencil, k=a + 1, hint=2.0 * lo)
     where = (f"{problem.transformation.label()} N={problem.mesh.N}: target "
              f"{cfg.target.mode_id}")
+    if not len(spec.eigenvalues):
+        raise TargetNotMatchedError(
+            f"{where}: no eigenvalue above the floor of the interval ({lo:.6g}, {hi:.6g}) "
+            f"in lambda; the pencil has {pencil.n_free} free dofs"
+        )
     found = int(np.count_nonzero(spec.eigenvalues < hi))
     if found > a:
         raise TargetNotMatchedError(

@@ -103,6 +103,17 @@ def test_pillbox_prefix_property():
     assert [m.mode_id for m in small] == [m.mode_id for m in large[: len(small)]]
 
 
+@pytest.mark.parametrize(
+    "R,L,lam_max",
+    [(math.inf, 1.0, 30.0), (math.nan, 1.0, 30.0), (1.0, math.inf, 30.0),
+     (1.0, math.nan, 30.0), (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)],
+)
+def test_pillbox_rejects_non_finite_sizes(R, L, lam_max):
+    # a non-finite size or bound would list modes forever
+    with pytest.raises(ValueError, match="must be finite"):
+        pillbox_spectrum(R, L, 1, lam_max)
+
+
 def test_te_requires_axial_index():
     modes = pillbox_spectrum(1.0, 1.0, 0, 60.0)
     assert all(md.pi_idx >= 1 for md in modes if md.family == "TE")

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from axicav.cli import main
 
@@ -17,6 +18,22 @@ def test_analytic_csv_output(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_text().splitlines()[0] == "family,m,nu,pi_idx,omega_over_c0,multiplicity"
+
+
+@pytest.mark.parametrize("R,lmax", [("inf", "30"), ("nan", "30"), ("1", "inf")])
+def test_analytic_non_finite_size_is_config_error(R, lmax, capsys):
+    assert main(["analytic", "--R", R, "--L", "1", "--n", "1", "--lmax", lmax]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_spurious_with_an_infinite_radius_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "study = spurious\ntransforms = TB\nn = 1\nq = 2\nmesh_ladder = 4\nR = inf\n"
+        f"output = {tmp_path / 'out.csv'}\n"
+    )
+    assert main(["spurious", "--config", str(cfg)]) == 2
+    assert "R and L must be finite" in capsys.readouterr().err
 
 
 def test_missing_config_is_config_error(tmp_path, capsys):

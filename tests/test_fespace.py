@@ -12,6 +12,7 @@ from axicav.fespace import (
     interpolate_h1,
     project_hcurl,
 )
+from axicav.fespace import _design, _monomial_exponents
 from axicav.mesh import build_structured
 
 
@@ -34,6 +35,20 @@ def _rand_poly_scalar(rng, deg):
         return out
 
     return f
+
+
+@pytest.mark.parametrize("d", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+def test_design_tabulates_monomial_derivatives(d):
+    # column (a, b) at (x, y) is the d = (d_r, d_z) derivative of x^a y^b
+    expts = _monomial_exponents(6)
+    pts = np.random.default_rng(sum(d)).uniform(-1.0, 1.0, size=(9, 2))
+    x, y = pts[:, 0:1], pts[:, 1:2]
+    exact = np.zeros((len(pts), len(expts)))
+    for m, (a, b) in enumerate(expts):
+        if a >= d[0] and b >= d[1]:
+            coef = math.perm(a, d[0]) * math.perm(b, d[1])
+            exact[:, m] = (coef * x ** (a - d[0]) * y ** (b - d[1]))[:, 0]
+    assert np.allclose(_design(expts, pts, d), exact, rtol=1e-14, atol=1e-14)
 
 
 def test_h1_dof_counts(mesh2):

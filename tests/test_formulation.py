@@ -220,6 +220,9 @@ def _poly_transformed_values(rng, q, p, r, z):
         (Transformation("TC", 1.0, 1.0), 1),
         (Transformation("TC", 1.0, 2.0), 2),
         (Transformation("TC", 0.5, 1.5), 2),
+        (Transformation("TC", 1.0, 1.5), 0),
+        (Transformation("TC", 0.5, 2.0), 0),
+        (Transformation("TC", 0.7, 2.5), 0),
     ],
 )
 def test_polynomial_integrand_quadrature_invariance(tr, n):

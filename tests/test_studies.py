@@ -212,9 +212,10 @@ def test_run_convergence_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_high_target_found_on_dense_path():
+def test_high_target_reached_by_the_pairs_above_the_floor():
     # TE141 sits far up the n = 1 spectrum; the k lowest eigenvalues overall
-    # do not reach it, the k lowest above half the target do.
+    # do not reach it, the pairs above the interval floor do (a shift-invert
+    # solve at 360 and 1488 free dofs).
     cfg = _cfg(q=3, p=2, mesh_ladder=(4, 8), target=AnalyticTarget("TE", 1, 4, 1))
     rows, _ = run_convergence(cfg)
     assert rows[-1].rel_error < 1e-3
@@ -268,6 +269,41 @@ def test_cli_converge_on_a_flooded_pairing_is_a_target_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver failure: TB N=2: target TE111")
     assert f"interval ({lo:.6g}, {hi:.6g})" in err and "a = 1" in err
+
+
+def test_target_solve_with_no_eigenvalue_above_the_floor_raises():
+    # At N = 1 the 6 free dofs give no eigenvalue above the floor of TM141's
+    # interval: a target error naming the interval, not an empty argmin.
+    cfg = _cfg(target=AnalyticTarget("TM", 1, 4, 1), mesh_ladder=(1, 2))
+    lo, hi, _ = studies._target_interval(cfg)
+    with pytest.raises(TargetNotMatchedError) as info:
+        studies._target_solve(cfg, studies._problem(cfg, cfg.transforms[0], 1))
+    msg = str(info.value)
+    assert msg.startswith("TB N=1: target TM141: no eigenvalue above the floor")
+    assert f"interval ({lo:.6g}, {hi:.6g})" in msg and "6 free dofs" in msg
+
+
+def test_cli_converge_with_no_eigenvalue_above_the_floor_is_a_target_error(tmp_path, capsys):
+    from axicav.cli import main
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "study = converge\ntransforms = TB\nn = 1\nq = 2\np = 1\n"
+        f"mesh_ladder = 1,2\ntarget = TM,1,4,1\noutput = {tmp_path / 'rows.csv'}\n"
+    )
+    assert main(["converge", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: TB N=1: target TM141: no eigenvalue above")
+    assert "6 free dofs" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", ["R", "L"])
+def test_non_finite_cavity_size_is_config_error(key, value):
+    entries = {"study": "spurious", "transforms": "TB", "n": "1", "q": "2",
+               "mesh_ladder": "4", key: value}
+    with pytest.raises(ConfigError, match="R and L must be finite"):
+        build_study_config(entries)
 
 
 def test_run_spurious_scan_small():
