@@ -16,7 +16,6 @@ azimuthal (scalar) sub-problem and TM modes in the in-plane one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,6 +41,10 @@ GROUP_RTOL = 1e-9  # relative frequency spread of one degenerate group
 MATCH_TOL_FACTOR = 10.0
 MATCH_TOL_FLOOR = 1e-6
 MATCH_TOL_CAP = 0.05
+# pillbox_spectrum refuses a listing whose mode count per family, estimated
+# as (R sqrt(lam_max) / pi + 1)(L sqrt(lam_max) / pi + 1), exceeds MODE_CAP;
+# the largest accepted listings take about 0.15 s on one core of a 2-core x86 host
+MODE_CAP = 20_000
 
 # scipy.special is imported on first use: it would add about 75 ms, some
 # 12%, to `import axicav`, and setting a study up does not need it.
@@ -88,20 +91,40 @@ class AnalyticMode:
         return f"{self.family}{self.m}{self.nu}{self.pi_idx}"
 
 
+def _zeros(family: str, m: int, x_max: float) -> np.ndarray:
+    """The first zeros of J_m (TM) or of J_m' (TE), the last one past x_max,
+    from one scipy call: the values of bessel_zero and bessel_prime_zero."""
+    from scipy.special import jn_zeros, jnp_zeros
+    zeros_fn = jn_zeros if family == "TM" else jnp_zeros
+    count = int(x_max / math.pi) + 2  # the nu-th zero lies above (nu - 1) pi
+    while True:
+        zeros = zeros_fn(m, count)
+        if zeros[-1] > x_max:
+            return zeros
+        count *= 2
+
+
 def pillbox_spectrum(R: float, L: float, n: int, lam_max: float,
                      families=("TM", "TE")) -> list:
-    """All modes with azimuthal index |n| and omega^2 <= lam_max, sorted."""
+    """All modes with azimuthal index |n| and omega^2 <= lam_max, sorted.
+
+    Raises ValueError past MODE_CAP estimated modes per family."""
     if not all(math.isfinite(x) for x in (R, L, lam_max)):
         raise ValueError(f"R, L and lam_max must be finite, got {R}, {L}, {lam_max}")
     if R <= 0 or L <= 0:
         raise ValueError("R and L must be positive")
+    k_max = math.sqrt(max(lam_max, 0.0))
+    estimate = (R * k_max / math.pi + 1) * (L * k_max / math.pi + 1)
+    if estimate > MODE_CAP:
+        raise ValueError(
+            f"R={R:g}, L={L:g} and lam_max={lam_max:g} give about {estimate:.3g} modes "
+            f"per family, past the listing cap of {MODE_CAP}")
     m = abs(int(n))
     modes = []
     for family in families:
-        zero_fn = bessel_zero if family == "TM" else bessel_prime_zero
         pi_min = 0 if family == "TM" else 1
-        for nu in itertools.count(1):
-            base = (zero_fn(m, nu) / R) ** 2
+        for nu, zero in enumerate(_zeros(family, m, R * k_max), 1):
+            base = (zero / R) ** 2
             if base > lam_max:
                 break
             pi_idx = pi_min

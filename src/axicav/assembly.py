@@ -1,19 +1,26 @@
 """Assembly of the global symmetric stiffness/mass pencil K x = lambda M x.
 
+The structure is built once per discretization, the values on every call.
+The first assemble for a (pair, block, axis conditions) builds the free
+dofs, the CSR pattern of the reduced pencil and an int32 map from element
+entries to its slots, and keeps them on the pair; the kernel basis is kept
+there per kernel rule.  Essential conditions (axis conditions of the chosen
+transformation plus the perfectly conducting walls) are applied by
+symmetric elimination: entries of constrained dofs are dropped before the
+map is built, so the reduced pencil stays symmetric with M positive
+definite, and each call fills K and M with one bincount each.
+
 The pair's local basis (scalar then vector functions) is mapped to
 physical fields and their weighted curl once per chunk of congruent
 elements, and each element matrix is one batched Gram product of those
 tables under the quadrature, material and r weights.  The integrands
 depend on r only, so z-translates share their element matrices: within
 each class of congruent elements, one matrix is computed per distinct
-triple of vertex r-coordinates and gathered to the rest of the class (the
-n_z rows of a structured mesh cost one row).  Essential conditions (axis
-conditions of the chosen transformation plus the perfectly conducting
-walls) are applied by symmetric elimination of rows and columns, so the
-reduced pencil stays symmetric with M positive definite.
+triple of vertex r-coordinates (the n_z rows of a structured mesh cost one
+row), and the slot map reads it for the rest of the class.
 
-Element order is fixed, which makes assembled matrices bit-stable from run
-to run.
+Duplicates of a slot are summed in element order, which makes assembled
+matrices bit-stable from run to run and K and M exactly symmetric.
 """
 
 from __future__ import annotations
@@ -110,7 +117,8 @@ def apply_constraints(K_full, M_full, constrained):
     """Eliminate constrained dofs (homogeneous conditions) symmetrically.
 
     Returns (K, M, free_to_full).  Raises on duplicate or
-    out-of-range constraint indices.
+    out-of-range constraint indices.  assemble does this elimination in its
+    slot map; this slicing of assembled matrices is the reference for it.
     """
     n = K_full.shape[0]
     constrained = np.asarray(constrained, dtype=int)
@@ -152,9 +160,35 @@ def _block_slices(problem: ModeProblem, pair: FeSpacePair):
             "inplane": (slice(nloc_h1, None), slice(pair.n_h1, None))}[problem.block]
 
 
-def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
-    """Unconstrained stiffness and mass matrices (K_full, M_full) in CSR,
-    in the full combined numbering with entries in the problem's block only."""
+@dataclass(frozen=True)
+class _Translates:
+    """Elements that share an element matrix: per class of pair.local_basis,
+    one representative per distinct triple of vertex r-coordinates (the
+    class fixes shape, size and edge flips, so the rest are z-translates),
+    and for every element the row of its matrix in the stack of all the
+    representatives' matrices."""
+
+    reps: tuple
+    matrix_of: np.ndarray  # (n_triangles,) int32
+
+
+def _translates(pair: FeSpacePair) -> _Translates:
+    if "translates" not in pair._assembly:
+        mesh = pair.h1.mesh
+        r_verts = mesh.nodes[mesh.triangles][:, :, 0]
+        reps, matrix_of = [], np.empty(mesh.n_triangles, dtype=np.int32)
+        for els, _ in pair.hcurl.element_groups():  # the classes of local_basis
+            _, first, inverse = np.unique(r_verts[els], axis=0, return_index=True,
+                                          return_inverse=True)
+            matrix_of[els] = sum(len(r) for r in reps) + inverse.ravel()
+            reps.append(els[first])
+        pair._assembly["translates"] = _Translates(tuple(reps), matrix_of)
+    return pair._assembly["translates"]
+
+
+def _element_matrices(problem: ModeProblem, pair: FeSpacePair):
+    """Stacked element stiffness and mass matrices of the problem's block,
+    one per representative of _translates, each (n_matrices, nloc, nloc)."""
     mesh = problem.mesh
     tr, n = problem.transformation, problem.n
     rule = rule_for_degree(problem.quad_degree)
@@ -165,23 +199,10 @@ def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
 
     verts = mesh.nodes[mesh.triangles]
     dets = np.abs(mesh.triangle_areas() * 2.0)
-    ndof = pair.n_total
     cols, _ = _block_slices(problem, pair)
-    # int32 like the indices of the CSR conversion, so no COO index is copied
-    cell_dofs = pair.combined_cell_dofs()[:, cols].astype(np.int32)
-    nloc = cell_dofs.shape[1]
-
-    rows_all, cols_all, kvals_all, mvals_all = [], [], [], []
-
-    for els, local in pair.local_basis(bary):
+    K_u, M_u = [], []
+    for (_, local), reps in zip(pair.local_basis(bary), _translates(pair).reps, strict=True):
         local = TransformedValues(*(getattr(local, f.name)[:, :, cols] for f in fields(local)))
-        # the class fixes shape, size and edge flips, so elements with equal
-        # vertex r are z-translates: one element matrix each, then gathered
-        _, first, inverse = np.unique(
-            verts[els, :, 0], axis=0, return_index=True, return_inverse=True
-        )
-        reps = els[first]
-        K_u, M_u = [], []
         for start in range(0, len(reps), _CHUNK):
             ids = reps[start : start + _CHUNK]
             r_eq = np.einsum("qk,ek->eq", bary, verts[ids, :, 0])[:, :, None]
@@ -194,19 +215,94 @@ def _assemble_full(problem: ModeProblem, pair: FeSpacePair):
             w_el = dets[ids][:, None] * wq[None, :] * r_eq[:, :, 0]  # (ne, nq)
             K_u.append(_gram(np.moveaxis(c, -1, 1), inv_mu * w_el[:, None, :]))
             M_u.append(_gram(e, eps * w_el[:, None, :]))
+    return np.concatenate(K_u), np.concatenate(M_u)
 
-        dofs = cell_dofs[els]
-        rows_all.append(np.repeat(dofs, nloc, axis=1).ravel())
-        cols_all.append(np.tile(dofs, (1, nloc)).ravel())
-        kvals_all.append(np.concatenate(K_u)[inverse].ravel())
-        mvals_all.append(np.concatenate(M_u)[inverse].ravel())
 
-    ij = (np.concatenate(rows_all), np.concatenate(cols_all))
+@dataclass(frozen=True)
+class _Scatter:
+    """Free dofs of one (block, axis conditions) on a pair and the CSR
+    pattern of its reduced pencil, with the map from element entries to
+    pattern slots.
 
-    def csr(vals):
-        return sparse.coo_matrix((np.concatenate(vals), ij), shape=(ndof, ndof)).tocsr()
+    Entry (i, j) of element t's matrix is kept when both its dofs are free.
+    The kept entries are listed in slot order: `src` is each one's flat
+    index into the stacked element matrices of _element_matrices and `slot`
+    (nondecreasing) its position in the CSR data, so one bincount sums the
+    duplicates of a slot in element order and fills a matrix.
+    """
 
-    return csr(kvals_all), csr(mvals_all)
+    free: np.ndarray
+    constrained: np.ndarray
+    n_free_h1: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    src: np.ndarray  # int32
+    slot: np.ndarray  # int32
+    kernel_bases: dict  # kernel rule -> Z (see _kernel_basis)
+
+    def fill(self, element_matrices: np.ndarray) -> sparse.csr_matrix:
+        n = len(self.free)
+        data = np.bincount(self.slot, element_matrices.ravel()[self.src],
+                           minlength=len(self.indices))
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Shared by every pencil filled from one structure: written by none."""
+    a.setflags(write=False)
+    return a
+
+
+def _scatter(problem: ModeProblem, pair: FeSpacePair) -> _Scatter:
+    cond = axis_conditions(problem.transformation, problem.n)
+    key = (problem.block, cond)
+    if key in pair._assembly:
+        return pair._assembly[key]
+    constrained = collect_constraints(problem, pair)
+    cols, block = _block_slices(problem, pair)
+    keep = np.zeros(pair.n_total, dtype=bool)
+    keep[block] = True
+    keep[constrained] = False
+    free = np.flatnonzero(keep)
+    n = len(free)
+    number = np.full(pair.n_total, -1, dtype=np.int32)
+    number[free] = np.arange(n, dtype=np.int32)
+    dofs = number[pair.combined_cell_dofs()[:, cols]]  # (nt, nloc), -1 if eliminated
+    nloc = dofs.shape[1]
+
+    # Column segments (t, j), one per free dof of an element, sorted by
+    # column and then element; each lists the element's free dofs as rows.
+    # That is the CSC layout with duplicates, and its conversion to CSR
+    # sorts the columns of every row, with the duplicates of an entry
+    # adjacent and in element order.
+    seg = np.argsort(dofs.ravel(), kind="stable")[np.count_nonzero(dofs < 0):]
+    t, j = np.divmod(seg.astype(np.int32), nloc)
+    seg_col = dofs.ravel()[seg]
+    rows = dofs[t]
+    kept = rows >= 0
+    starts = np.zeros(len(seg) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(kept, axis=1), out=starts[1:])
+    flat = (_translates(pair).matrix_of[t] * nloc * nloc + j)[:, None] + nloc * np.arange(
+        nloc, dtype=np.int32)
+    csc = sparse.csc_matrix(
+        (flat[kept], rows[kept], starts[np.searchsorted(seg_col, np.arange(n + 1))]),
+        shape=(n, n))
+    by_row = csc.tocsr()
+    col, src, row_start = by_row.indices, by_row.data, by_row.indptr
+
+    first = np.ones(len(col), dtype=bool)  # first entry of its slot
+    np.not_equal(col[1:], col[:-1], out=first[1:])
+    first[row_start[:-1]] = True  # every free dof has its diagonal entry
+    slot = np.cumsum(first, dtype=np.int32)
+    slot -= 1
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = slot[row_start[1:] - 1] + 1
+    pair._assembly[key] = sc = _Scatter(
+        free=_frozen(free), constrained=_frozen(constrained),
+        n_free_h1=int(np.searchsorted(free, pair.n_h1)), indptr=_frozen(indptr),
+        indices=_frozen(col[first]), src=src.astype(np.int32, copy=False), slot=slot,
+        kernel_bases={})
+    return sc
 
 
 def _kernel_basis(problem: ModeProblem, pair: FeSpacePair, free: np.ndarray, n_free_h1: int):
@@ -236,22 +332,27 @@ def _kernel_basis(problem: ModeProblem, pair: FeSpacePair, free: np.ndarray, n_f
 
 
 def assemble(problem: ModeProblem, pair: FeSpacePair) -> AssembledPencil:
-    """Assemble the problem's block and eliminate the constrained dofs."""
-    K_full, M_full = _assemble_full(problem, pair)
-    constrained = collect_constraints(problem, pair)
-    keep = np.zeros(pair.n_total, dtype=bool)
-    keep[_block_slices(problem, pair)[1]] = True
-    keep[constrained] = False
-    K, M, free = apply_constraints(K_full, M_full, np.nonzero(~keep)[0])
-    n_free_h1 = int(np.sum(free < pair.n_h1))
+    """Assemble the problem's block with its constrained dofs eliminated.
+
+    The pattern, the free dofs and the kernel basis are built on the first
+    call for a (pair, block, axis conditions, kernel rule) and kept on the
+    pair; later calls compute the element matrices and fill values only.
+    """
+    if problem.mesh is not pair.h1.mesh:
+        raise ValueError("the problem and the pair must be on one mesh")
+    sc = _scatter(problem, pair)
+    n = problem.n
+    rule = "n=0" if n == 0 else gradient_kernel_coefficient(problem.transformation, n)
+    if rule not in sc.kernel_bases:
+        sc.kernel_bases[rule] = _kernel_basis(problem, pair, sc.free, sc.n_free_h1)
+    K_el, M_el = _element_matrices(problem, pair)
     return AssembledPencil(
-        K=K,
-        M=M,
+        K=sc.fill(K_el),
+        M=sc.fill(M_el),
         ndof_full=pair.n_total,
         n_h1=pair.n_h1,
-        free_to_full=free,
-        constrained=constrained,
-        n_free_h1=n_free_h1,
-        kernel_basis=_kernel_basis(problem, pair, free, n_free_h1),
+        free_to_full=sc.free,
+        constrained=sc.constrained,
+        n_free_h1=sc.n_free_h1,
+        kernel_basis=sc.kernel_bases[rule],
     )
-

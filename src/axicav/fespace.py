@@ -29,7 +29,7 @@ one small least-squares solve per element class gives G exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
@@ -385,6 +385,9 @@ class FeSpacePair:
 
     h1: H1Space
     hcurl: HCurlSpace
+    # what assembly builds once per pair (see assembly._translates and
+    # assembly._scatter); it lives and dies with the pair
+    _assembly: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_total(self) -> int:

@@ -344,9 +344,28 @@ def _threshold(cfg: StudyConfig, tr: Transformation) -> int | None:
     return polynomial_threshold_degree(tr, cfg.n, q, p, block=_block_for(cfg))
 
 
-def _problem(cfg: StudyConfig, tr: Transformation, N: int, D: int | None = None) -> ModeProblem:
-    """The discrete problem of one solve on the N-subdivision mesh of the cavity;
-    D defaults to the configured quad_degree, else the polynomial threshold."""
+class _Discretizations:
+    """The mesh and FeSpacePair of each N-subdivision of the cavity, built on
+    first use and shared by every solve of one study call on that mesh, so
+    that assembly reuses its pattern.  `uses` is the number of solves per
+    mesh: the last one drops the entry, and nothing outlives the call."""
+
+    def __init__(self, cfg: StudyConfig, uses: int):
+        self.cfg, self.uses = cfg, uses
+        self.built, self.left = {}, {}
+
+    def get(self, N: int):
+        if N not in self.built:
+            mesh = build_structured(self.cfg.R, self.cfg.L, N)
+            self.built[N] = (mesh, build_pair(mesh, *self.cfg.orders()))
+            self.left[N] = self.uses
+        self.left[N] -= 1
+        return self.built[N] if self.left[N] else self.built.pop(N)
+
+
+def _problem(cfg: StudyConfig, tr: Transformation, mesh, D: int | None = None) -> ModeProblem:
+    """The discrete problem of one solve on the given mesh of the cavity; D
+    defaults to the configured quad_degree, else the polynomial threshold."""
     if D is None:
         D = cfg.quad_degree if cfg.quad_degree is not None else _threshold(cfg, tr)
     if D is None:
@@ -355,8 +374,8 @@ def _problem(cfg: StudyConfig, tr: Transformation, N: int, D: int | None = None)
             "an explicit quad_degree is required"
         )
     q, p = cfg.orders()
-    return ModeProblem(mesh=build_structured(cfg.R, cfg.L, N), n=cfg.n, transformation=tr,
-                       q=q, p=p, quad_degree=D, block=_block_for(cfg))
+    return ModeProblem(mesh=mesh, n=cfg.n, transformation=tr, q=q, p=p, quad_degree=D,
+                       block=_block_for(cfg))
 
 
 def _row(cfg: StudyConfig, problem: ModeProblem, pencil, **values) -> StudyRow:
@@ -371,6 +390,15 @@ def _row(cfg: StudyConfig, problem: ModeProblem, pencil, **values) -> StudyRow:
     )
 
 
+def _listing(R: float, L: float, n: int, lam_max: float, families=("TM", "TE")) -> list:
+    """pillbox_spectrum, where a cavity too large for the listing cap
+    (analytic.MODE_CAP) is a ConfigError."""
+    try:
+        return pillbox_spectrum(R, L, n, lam_max, families)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _target_interval(cfg: StudyConfig) -> tuple:
     """(lo, hi, a) around the target among the analytic modes of the solved
     block: lo the midpoint of the analytic gap that holds lambda_t / 2
@@ -381,7 +409,7 @@ def _target_interval(cfg: StudyConfig) -> tuple:
     lam_t = cfg.target.lam(cfg.R, cfg.L)
     lam_max = 2.0 * lam_t
     while True:
-        modes = pillbox_spectrum(cfg.R, cfg.L, cfg.n, lam_max, families)
+        modes = _listing(cfg.R, cfg.L, cfg.n, lam_max, families)
         above = [md.lam for md in modes if md.omega > math.sqrt(lam_t) * (1 + GROUP_RTOL)]
         if above:
             break
@@ -393,21 +421,21 @@ def _target_interval(cfg: StudyConfig) -> tuple:
     return lo, hi, sum(lo < lam < hi for lam in lams)
 
 
-def _target_solve(cfg: StudyConfig, problem: ModeProblem):
-    """Solve for the target mode; returns the target's study row, and the
-    spectrum, the target's index in it, the pair and the pencil.
+def _target_solve(cfg: StudyConfig, problem: ModeProblem, pair, interval: tuple):
+    """Solve for the target mode on the pair; returns the target's study
+    row, and the spectrum, the target's index in it and the pencil.
 
     One solve takes the a + 1 lowest non-kernel pairs above lo, for the
-    interval (lo, hi) that holds a analytic modes around the target
-    (_target_interval).  More than a of them below hi means spurious
-    eigenvalues crowd the target: a TargetNotMatchedError on every mesh.
+    interval = (lo, hi, a) that holds a analytic modes around the target
+    (_target_interval, listed once per study call before any mesh).  More
+    than a of them below hi means spurious eigenvalues crowd the target: a
+    TargetNotMatchedError on every mesh.
     Otherwise the target is the eigenvalue nearest lambda_t, accepted
     within 25% in omega.
     """
     lam_t = cfg.target.lam(cfg.R, cfg.L)
-    pair = build_pair(problem.mesh, problem.q, problem.p)
+    lo, hi, a = interval
     pencil = assemble(problem, pair)
-    lo, hi, a = _target_interval(cfg)
     spec = solve(pencil, k=a + 1, hint=2.0 * lo)
     where = (f"{problem.transformation.label()} N={problem.mesh.N}: target "
              f"{cfg.target.mode_id}")
@@ -432,7 +460,7 @@ def _target_solve(cfg: StudyConfig, problem: ModeProblem):
         )
     row = _row(cfg, problem, pencil, mode_id=cfg.target.mode_id, omega_numeric=omega,
                omega_analytic=omega_t, rel_error=abs(omega - omega_t) / omega_t)
-    return row, spec, idx, pair, pencil
+    return row, spec, idx, pencil
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +470,13 @@ def _target_solve(cfg: StudyConfig, problem: ModeProblem):
 def run_convergence(cfg: StudyConfig):
     """Relative eigenfrequency error per mesh plus a fitted slope per transform."""
     rows, slopes = [], {}
+    interval = _target_interval(cfg)
+    meshes = _Discretizations(cfg, len(cfg.transforms))
     for tr in cfg.transforms:
         errs = []
         for N in cfg.mesh_ladder:
-            rows.append(_target_solve(cfg, _problem(cfg, tr, N))[0])
+            mesh, pair = meshes.get(N)
+            rows.append(_target_solve(cfg, _problem(cfg, tr, mesh), pair, interval)[0])
             errs.append(rows[-1].rel_error)
         slope = fit_slope(cfg.mesh_ladder, errs)
         rows[-1].slope = slope
@@ -459,10 +490,13 @@ def run_quadrature_sweep(cfg: StudyConfig):
         raise ConfigError("quadsweep requires quad_degrees")
     N = cfg.mesh_ladder[-1]
     rows, stable, omegas = [], {}, {}
+    interval = _target_interval(cfg)
+    meshes = _Discretizations(cfg, len(cfg.transforms) * len(cfg.quad_degrees))
     for tr in cfg.transforms:
         seq = []
         for D in cfg.quad_degrees:
-            rows.append(_target_solve(cfg, _problem(cfg, tr, N, D))[0])
+            mesh, pair = meshes.get(N)
+            rows.append(_target_solve(cfg, _problem(cfg, tr, mesh, D), pair, interval)[0])
             seq.append((D, rows[-1].omega_numeric))
         threshold = _threshold(cfg, tr)
         flag = False
@@ -481,10 +515,10 @@ def run_quadrature_sweep(cfg: StudyConfig):
 def _first_modes(R: float, L: float, n: int, count: int):
     """At least `count` lowest analytic modes of the n-th block."""
     lam_max = (math.pi / min(R, L)) ** 2 * 4
-    modes = pillbox_spectrum(R, L, n, lam_max)
+    modes = _listing(R, L, n, lam_max)
     while len(modes) < count:
         lam_max *= 2
-        modes = pillbox_spectrum(R, L, n, lam_max)
+        modes = _listing(R, L, n, lam_max)
     return modes
 
 
@@ -501,10 +535,12 @@ def run_spurious_scan(cfg: StudyConfig):
     modes_all = _first_modes(cfg.R, cfg.L, cfg.n, cfg.modes + 1)
     window = modes_all[: cfg.modes]
     lam_cut = 0.5 * (modes_all[cfg.modes - 1].lam + modes_all[cfg.modes].lam)
+    meshes = _Discretizations(cfg, len(cfg.transforms))
     for tr in cfg.transforms:
         for N in cfg.mesh_ladder:
-            problem = _problem(cfg, tr, N)
-            pencil = assemble(problem, build_pair(problem.mesh, problem.q, problem.p))
+            mesh, pair = meshes.get(N)
+            problem = _problem(cfg, tr, mesh)
+            pencil = assemble(problem, pair)
             count = counts[(tr.label(), N)] = _spurious_count(pencil, window, lam_cut)
             rows.append(_row(cfg, problem, pencil, spurious_count=count))
     return rows, counts
@@ -558,12 +594,13 @@ def run_regularity(cfg: StudyConfig):
     if cfg.n == 0:
         raise ConfigError("the regularity probe needs a coupled mode (n != 0)")
     rows, exponents = [], {}
-    N = cfg.mesh_ladder[-1]
+    interval = _target_interval(cfg)
+    meshes = _Discretizations(cfg, len(cfg.transforms))
     for tr in cfg.transforms:
-        problem = _problem(cfg, tr, N)
-        row, spec, idx, pair, pencil = _target_solve(cfg, problem)
+        mesh, pair = meshes.get(cfg.mesh_ladder[-1])
+        row, spec, idx, pencil = _target_solve(cfg, _problem(cfg, tr, mesh), pair, interval)
         vec = pencil.expand(spec.eigenvectors[:, idx])
-        row.slope = axis_regularity_probe(problem.mesh, pair, vec)
+        row.slope = axis_regularity_probe(mesh, pair, vec)
         exponents[tr.label()] = row.slope
         rows.append(row)
     return rows, exponents

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from axicav.analytic import (
     MATCH_TOL_CAP,
+    MODE_CAP,
     AnalyticMode,
     bessel_j,
     bessel_prime_zero,
@@ -112,6 +114,39 @@ def test_pillbox_rejects_non_finite_sizes(R, L, lam_max):
     # a non-finite size or bound would list modes forever
     with pytest.raises(ValueError, match="must be finite"):
         pillbox_spectrum(R, L, 1, lam_max)
+
+
+def test_pillbox_refuses_a_listing_past_the_mode_cap():
+    # R = 1e300 would put every Bessel zero up to 1e300 sqrt(30) below lam_max
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="past the listing cap"):
+        pillbox_spectrum(1e300, 1.0, 1, 30.0)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("L", [0.01, 1.0, 30.0])
+def test_largest_accepted_listings_end_quickly(L):
+    # the radius that puts the estimate (R k / pi + 1)(L k / pi + 1), with
+    # k = sqrt(lam_max), just under MODE_CAP: accepted and listed within 2 s
+    lam_max = 40.0
+    k = math.sqrt(lam_max) / math.pi
+    R = (0.999 * MODE_CAP / (L * k + 1) - 1) / k
+    start = time.perf_counter()
+    modes = pillbox_spectrum(R, L, 1, lam_max)
+    assert time.perf_counter() - start < 2.0
+    assert len(modes) > 0.5 * MODE_CAP
+    with pytest.raises(ValueError, match="past the listing cap"):
+        pillbox_spectrum(1.002 * R + 1.0 / k, L, 1, lam_max)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_listed_frequencies_use_the_tabulated_zeros(m):
+    # the listing takes all zeros from one scipy call; they are the values
+    # of bessel_zero and bessel_prime_zero
+    R, L = 1.3, 0.9
+    for md in pillbox_spectrum(R, L, m, 3000.0):
+        zero = (bessel_zero if md.family == "TM" else bessel_prime_zero)(m, md.nu)
+        assert md.omega == math.sqrt((zero / R) ** 2 + (md.pi_idx * math.pi / L) ** 2)
 
 
 def test_te_requires_axial_index():

@@ -6,7 +6,8 @@ from scipy import sparse
 
 import _oracles
 from axicav.assembly import (
-    _assemble_full, apply_constraints, assemble, collect_constraints,
+    _block_slices, _element_matrices, _scatter, _translates, apply_constraints, assemble,
+    collect_constraints,
 )
 from axicav.eigen import solve_window
 from axicav.fespace import build_pair, discrete_gradient, interpolate_h1, project_hcurl
@@ -30,6 +31,17 @@ def pair4(mesh4):
 def _problem(mesh, kind="TB", n=1, q=3, p=2, D=9, **kw):
     tr = kind if isinstance(kind, Transformation) else Transformation(kind)
     return ModeProblem(mesh=mesh, n=n, transformation=tr, q=q, p=p, quad_degree=D, **kw)
+
+
+def _full_matrices(problem, pair):
+    """Unconstrained K and M of the problem's block in the full combined
+    numbering, by COO -> CSR of every element's matrix."""
+    which = _translates(pair).matrix_of
+    dofs = pair.combined_cell_dofs()[:, _block_slices(problem, pair)[0]]
+    nloc = dofs.shape[1]
+    ij = (np.repeat(dofs, nloc, axis=1).ravel(), np.tile(dofs, (1, nloc)).ravel())
+    return tuple(sparse.coo_matrix((E[which].ravel(), ij), shape=(pair.n_total,) * 2).tocsr()
+                 for E in _element_matrices(problem, pair))
 
 
 def test_zero_permeability_inverse_gives_zero_stiffness(mesh4, pair4):
@@ -113,6 +125,56 @@ def test_apply_constraints_validation():
         apply_constraints(A, A, np.array([7]))
 
 
+# every block of TA, TB, TC(1,1), TC(1,2) and TD at n = 0, 1, 2; TC(1,2) is
+# not admissible at n = 1, and the decoupled blocks exist at n = 0 only
+_SCATTER_CASES = [
+    (kind, n, block)
+    for kind in ("TA", "TB", "TC(1,1)", "TC(1,2)", "TD")
+    for n in (0, 1, 2)
+    for block in (("full", "azimuthal", "inplane") if n == 0 else ("full",))
+    if (kind, n) != ("TC(1,2)", 1)
+]
+
+
+@pytest.mark.parametrize("kind,n,block", _SCATTER_CASES)
+def test_scatter_map_equals_coo_and_elimination(mesh4, pair4, kind, n, block):
+    # the pattern built once and filled by bincount against COO -> CSR of the
+    # unconstrained matrices followed by apply_constraints
+    problem = _problem(mesh4, Transformation.parse(kind), n=n, D=12, block=block)
+    pen = assemble(problem, pair4)
+    keep = np.zeros(pair4.n_total, dtype=bool)
+    keep[_block_slices(problem, pair4)[1]] = True
+    keep[collect_constraints(problem, pair4)] = False
+    K, M, free = apply_constraints(*_full_matrices(problem, pair4), np.flatnonzero(~keep))
+    np.testing.assert_array_equal(pen.free_to_full, free)
+    for A, B in ((pen.K, K), (pen.M, M)):
+        np.testing.assert_array_equal(A.indptr, B.indptr)
+        np.testing.assert_array_equal(A.indices, B.indices)
+        assert np.abs(A.data - B.data).max() <= 1e-14 * np.abs(B.data).max()
+    sc = _scatter(problem, pair4)
+    assert sc.src.dtype == sc.slot.dtype == np.int32
+
+
+def test_reused_structure_fills_the_pencil_of_a_fresh_pair(mesh4):
+    # TB and TD at n = 2 share one pattern, and each quadrature degree
+    # refills it: every pencil equals the one assembled on a new pair
+    pair = build_pair(mesh4, 3, 2)
+    for kind, D in (("TB", 9), ("TD", 12), ("TB", 15)):
+        problem = _problem(mesh4, kind, n=2, D=D)
+        reused, fresh = assemble(problem, pair), assemble(problem, build_pair(mesh4, 3, 2))
+        for A, B in ((reused.K, fresh.K), (reused.M, fresh.M)):
+            assert np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            assert np.array_equal(A.data, B.data)
+        assert np.array_equal(reused.free_to_full, fresh.free_to_full)
+        assert (reused.kernel_basis is None) == (fresh.kernel_basis is None)
+    assert len([key for key in pair._assembly if key != "translates"]) == 1
+
+
+def test_problem_and_pair_on_different_meshes_is_an_error(mesh4):
+    with pytest.raises(ValueError, match="one mesh"):
+        assemble(_problem(mesh4), build_pair(build_structured(1.0, 1.0, 4), 3, 2))
+
+
 def test_expand_restores_zeros(mesh4, pair4):
     pen = assemble(_problem(mesh4), pair4)
     x = np.arange(1.0, pen.n_free + 1)
@@ -145,7 +207,7 @@ def _check_against_direct_quadrature(mesh, kind, n):
     q, p, D = 3, 2, 9
     tr = Transformation.parse(kind)
     pair = build_pair(mesh, q, p)
-    K_full, M_full = _assemble_full(_problem(mesh, tr, n=n, q=q, p=p, D=D), pair)
+    K_full, M_full = _full_matrices(_problem(mesh, tr, n=n, q=q, p=p, D=D), pair)
 
     rng = np.random.default_rng(9)
 

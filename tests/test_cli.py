@@ -26,6 +26,11 @@ def test_analytic_non_finite_size_is_config_error(R, lmax, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_analytic_past_the_mode_cap_is_config_error(capsys):
+    assert main(["analytic", "--R", "1e300", "--L", "1", "--n", "1", "--lmax", "30"]) == 2
+    assert "past the listing cap" in capsys.readouterr().err
+
+
 def test_spurious_with_an_infinite_radius_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(

@@ -1,7 +1,12 @@
 import itertools
+import json
 import math
+import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +227,13 @@ def test_high_target_reached_by_the_pairs_above_the_floor():
     assert rows[-1].rel_error < rows[0].rel_error
 
 
+def _target_solve(cfg, N):
+    """The study's target solve of the first transform on the N-subdivision."""
+    mesh, pair = studies._Discretizations(cfg, 1).get(N)
+    return studies._target_solve(cfg, studies._problem(cfg, cfg.transforms[0], mesh), pair,
+                                 studies._target_interval(cfg))
+
+
 @pytest.mark.parametrize("kind", ["TB", "TD", "TC(1,1)"])
 @pytest.mark.parametrize("N", [2, 4, 8])
 def test_flooded_target_interval_raises_on_every_mesh(kind, N):
@@ -231,7 +243,7 @@ def test_flooded_target_interval_raises_on_every_mesh(kind, N):
     lo, hi, a = studies._target_interval(cfg)
     assert a == 1
     with pytest.raises(TargetNotMatchedError) as info:
-        studies._target_solve(cfg, studies._problem(cfg, cfg.transforms[0], N))
+        _target_solve(cfg, N)
     msg = str(info.value)
     assert f"{kind} N={N}" in msg and "TE111" in msg
     assert f"interval ({lo:.6g}, {hi:.6g})" in msg
@@ -251,7 +263,7 @@ def test_target_solve_factors_once_and_asks_for_two_pairs(N, monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(eigen_mod, name, counted)
     cfg = _cfg(transforms=(Transformation.parse("TC(1,1)"),), q=3, p=2)
-    row = studies._target_solve(cfg, studies._problem(cfg, cfg.transforms[0], N))[0]
+    row = _target_solve(cfg, N)[0]
     assert row.rel_error < 1e-4
     assert calls == [("_factorize", None), ("_eigsh_guarded", 2)]
 
@@ -277,7 +289,7 @@ def test_target_solve_with_no_eigenvalue_above_the_floor_raises():
     cfg = _cfg(target=AnalyticTarget("TM", 1, 4, 1), mesh_ladder=(1, 2))
     lo, hi, _ = studies._target_interval(cfg)
     with pytest.raises(TargetNotMatchedError) as info:
-        studies._target_solve(cfg, studies._problem(cfg, cfg.transforms[0], 1))
+        _target_solve(cfg, 1)
     msg = str(info.value)
     assert msg.startswith("TB N=1: target TM141: no eigenvalue above the floor")
     assert f"interval ({lo:.6g}, {hi:.6g})" in msg and "6 free dofs" in msg
@@ -467,8 +479,10 @@ def test_studies_call_the_layers_through_the_module(study, monkeypatch):
     eigen, other = ("solve_window", "solve") if kind == "spurious" else ("solve", "solve_window")
     solved = 0 if study == "spurious-flooded" else len(rows)
     assert len(rows) > 0
-    for name in ("build_structured", "build_pair", "assemble"):
-        assert calls[name] == len(rows), name
+    # one mesh and one pair per N, one assembly per row
+    for name in ("build_structured", "build_pair"):
+        assert calls[name] == len({row.N for row in rows}), name
+    assert calls["assemble"] == len(rows)
     assert calls[eigen] == solved
     assert calls[other] == 0
     assert calls["rule_for_degree"] >= len(rows)
@@ -511,3 +525,101 @@ def test_config_sweep_ends_in_rows_or_a_clear_error():
         elapsed = time.perf_counter() - start
         assert elapsed <= 5.0, (study, transform, n, q, p, elapsed)
     assert tally == {"rows": 95, "ConfigError": 147, "TargetNotMatchedError": 28}
+
+
+# The study configs of the three benchmark workloads, all but R and L.
+_BENCH_ENTRIES = {
+    "spectrum_dense": {"study": "spurious", "transforms": "TB;TD", "n": "2", "q": "3", "p": "2",
+                       "quad_degree": "12", "mesh_ladder": "4,8,12", "modes": "8"},
+    "converge_sparse": {"study": "converge", "transforms": "TC(1,1)", "n": "1", "q": "3",
+                        "p": "2", "target": "TE,1,1,1", "mesh_ladder": "4,8,16,32"},
+    "quadsweep_axis": {"study": "quadsweep", "transforms": "TA;TC(1,2)", "n": "0", "q": "3",
+                       "p": "2", "target": "TE,0,1,1", "mesh_ladder": "32",
+                       "quad_degrees": "9,15,21"},
+}
+
+
+def _bench_config(workload: str, index: int):
+    """The workload's config on cavity `index` of seed 1, drawn like the
+    benchmark draws its cavities."""
+    rng = random.Random(f"1:{index}")
+    s = rng.uniform(0.5, 2.0)
+    cavity = {"R": repr(s), "L": repr(s * (1.0 + rng.uniform(-0.01, 0.01)))}
+    return build_study_config({**_BENCH_ENTRIES[workload], **cavity})
+
+
+@pytest.mark.parametrize("workload,meshes,solved,windows", [
+    ("quadsweep_axis", 1, 6, {}),
+    # TB's windows are solved; TD's flooded ones are counted
+    ("spectrum_dense", 3, 0, {"TB": 3}),
+], ids=["quadsweep_axis", "spectrum_dense"])
+def test_one_mesh_and_pair_per_N_and_one_solve_per_pencil(workload, meshes, solved, windows,
+                                                         monkeypatch):
+    calls, solved_by = Counter(), Counter()
+    last = {}
+    for name in _LAYER_NAMES:
+        def counted(*args, _name=name, _original=getattr(studies, name), **kwargs):
+            calls[_name] += 1
+            if _name == "assemble":
+                last["kind"] = args[0].transformation.kind
+            if _name == "solve_window":
+                solved_by[last["kind"]] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(studies, name, counted)
+    cfg = _bench_config(workload, 0)
+    rows = _RUNNERS[cfg.study](cfg)[0]
+    assert calls["build_structured"] == calls["build_pair"] == meshes
+    assert calls["assemble"] == len(rows) == 6
+    assert calls["solve"] == solved
+    assert dict(solved_by) == windows
+
+
+def _bench_rows(workload: str, index: int) -> list:
+    cfg = _bench_config(workload, index)
+    return [[getattr(row, f) for f in studies._ROW_FIELDS]
+            for row in _RUNNERS[cfg.study](cfg)[0]]
+
+
+def _assert_rows_equal(got, want):
+    assert len(got) == len(want)
+    for a_row, b_row in zip(got, want):
+        for a, b in zip(a_row, b_row):
+            if isinstance(b, float):
+                assert abs(a - b) <= 1e-14 * abs(b), (a_row, b_row)
+            else:
+                assert a == b, (a_row, b_row)
+
+
+_ALONE = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import test_studies
+print(json.dumps({w: test_studies._bench_rows(w, 1) for w in test_studies._BENCH_ENTRIES}))
+"""
+
+
+def test_study_calls_keep_no_state_between_cavities():
+    # Cavity 1 after cavity 0 in this process gives the rows of cavity 1
+    # studied alone in a new interpreter, on every benchmark workload.
+    after = {}
+    for workload in _BENCH_ENTRIES:
+        _bench_rows(workload, 0)
+        after[workload] = _bench_rows(workload, 1)
+    paths = [str(Path(__file__).resolve().parent), str(Path(studies.__file__).parents[1])]
+    out = subprocess.run([sys.executable, "-c", _ALONE, *paths], capture_output=True,
+                         text=True, check=True)
+    alone = json.loads(out.stdout)
+    for workload, rows in after.items():
+        _assert_rows_equal(rows, alone[workload])
+
+
+@pytest.mark.parametrize("study", sorted(_RUNNERS))
+def test_cavity_past_the_listing_cap_is_config_error(study):
+    # R / L = 1e300 lists no analytic mode: a ConfigError before any mesh
+    entries = {"study": study, "transforms": "TC(1,1)", "n": "1", "q": "3", "p": "2",
+               "target": "TE,1,1,1", "mesh_ladder": "2,4", "quad_degrees": "9,15",
+               "R": "1e300"}
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="past the listing cap"):
+        _RUNNERS[study](build_study_config(entries))
+    assert time.perf_counter() - start < 1.0
