@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .mesh import check_cavity_size
+
 __all__ = [
     "AnalyticMode",
     "MatchReport",
@@ -108,7 +110,9 @@ def pillbox_spectrum(R: float, L: float, n: int, lam_max: float,
                      families=("TM", "TE")) -> list:
     """All modes with azimuthal index |n| and omega^2 <= lam_max, sorted.
 
-    Raises ValueError past MODE_CAP estimated modes per family."""
+    Raises ValueError past MODE_CAP estimated modes per family, and for
+    sizes outside mesh.SIZE_RANGE, where the eigenvalues underflow or
+    overflow."""
     if not all(math.isfinite(x) for x in (R, L, lam_max)):
         raise ValueError(f"R, L and lam_max must be finite, got {R}, {L}, {lam_max}")
     if R <= 0 or L <= 0:
@@ -119,6 +123,7 @@ def pillbox_spectrum(R: float, L: float, n: int, lam_max: float,
         raise ValueError(
             f"R={R:g}, L={L:g} and lam_max={lam_max:g} give about {estimate:.3g} modes "
             f"per family, past the listing cap of {MODE_CAP}")
+    check_cavity_size(R, L)
     m = abs(int(n))
     modes = []
     for family in families:

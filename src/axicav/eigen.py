@@ -24,13 +24,18 @@ of one eigh, or the largest algebraic thetas at sigma = hint / 2, the modes
 above sigma; the kernel (theta = -1/sigma) never competes.  One rule
 (_dense_pays) picks dense storage for every pencil.
 
-Residuals are always checked on the original pencil.  The factors of
-K - sigma M drive the Lanczos iteration and, when a Lanczos pair misses
-RESIDUAL_TOL, one step of subspace inverse iteration with a Rayleigh-Ritz
-projection; a residual still above RESIDUAL_TOL after that step is an
-EigenSolverError, never a retry.  Lanczos that does not converge within a
-bounded number of restarts is retried once on a larger subspace, then
-fails.
+Every shift-invert Lanczos call stops when ARPACK's Ritz estimate of each
+wanted pair is at most LANCZOS_TOL relative to its theta, not at machine
+precision (ARPACK's default).  Nothing reads the eigenvector digits that
+the extra restarts would add: eigenvalues are the Rayleigh quotients of
+the Lanczos vectors on (K, M), whose error is second order in the vector
+error.  Residuals are always checked on the original pencil.  The
+factors of K - sigma M drive the Lanczos iteration and, when a Lanczos
+pair misses RESIDUAL_TOL, one step of subspace inverse iteration with a
+Rayleigh-Ritz projection; a residual still above RESIDUAL_TOL after that
+step is an EigenSolverError, never a retry.  Lanczos that does not
+converge within a bounded number of restarts is retried once on a larger
+subspace, then fails.
 """
 
 from __future__ import annotations
@@ -48,6 +53,11 @@ __all__ = ["Spectrum", "EigenSolverError", "solve", "solve_window", "count_windo
 DENSE_DIM = 6000
 KERNEL_REL = 1e-8
 RESIDUAL_TOL = 1e-8
+# ARPACK's relative Ritz tolerance, the same for every shift-invert Lanczos
+# call.  Pencil residuals on the benchmark workloads stay at most 1e-11, as at
+# machine precision, three orders of magnitude under RESIDUAL_TOL; at 1e-10
+# and 1e-8 single window residuals rose to 2e-11 and 3.3e-9.
+LANCZOS_TOL = 1e-12
 
 
 class EigenSolverError(RuntimeError):
@@ -169,17 +179,21 @@ def _kernel(pencil, top: float):
     return _inertia(_factorize(pencil, tau)), tau
 
 
-# Restart budgets of the Lanczos attempts.  Converging first attempts take
-# at most 7 restarts on the benchmark workloads and 12 in the test suite, and
-# no attempt there needs the retry, so a first attempt still running after
-# FIRST_MAXITER has stalled and hands over to the retry.
+# Restart budgets of the Lanczos attempts.  At LANCZOS_TOL, converging first
+# attempts take at most 6 restarts on the benchmark workloads (seed 1,
+# cavities 0-2) and 16 in the test suite, and no attempt there needs the
+# retry, so a first attempt still running after FIRST_MAXITER has stalled
+# and hands over to the retry.
 FIRST_MAXITER = 300
 RETRY_MAXITER = 5000
 
 
 def _eigsh_guarded(pencil, lu, k, sigma, which, project=None):
     """eigsh on the given factors, with the shift-invert operator followed
-    by project (and the start vector projected) when one is given.  When
+    by project (and the start vector projected) when one is given.  ARPACK
+    stops when every wanted Ritz estimate is within LANCZOS_TOL of its
+    theta: the k = 2 target solve of a quadsweep pencil at N = 32 (ncv =
+    20) makes 21 operator applications, 38 at machine precision.  When
     Lanczos does not converge within FIRST_MAXITER restarts it runs once
     more with ncv = 2 ncv + 10, and fails after that.  A degenerate kernel
     cluster near the edge of the requested set is what stalls a window
@@ -201,7 +215,7 @@ def _eigsh_guarded(pencil, lu, k, sigma, which, project=None):
         try:
             _, vecs = eigsh(
                 pencil.K, k=k, M=pencil.M, sigma=sigma, which=which,
-                ncv=ncv, maxiter=maxiter, v0=v0, OPinv=op_inv,
+                ncv=ncv, maxiter=maxiter, v0=v0, OPinv=op_inv, tol=LANCZOS_TOL,
             )
         except ArpackNoConvergence as exc:
             last = exc
@@ -280,11 +294,16 @@ def solve(pencil, k: int, hint: float) -> Spectrum:
     return _spectrum(pencil, vals, vecs, kernel_count, tau, where, lu)
 
 
-def solve_window(pencil, lam_hi: float) -> Spectrum:
+def solve_window(pencil, lam_hi: float, window: WindowCount | None = None) -> Spectrum:
     """All non-kernel eigenpairs with lambda <= lam_hi: the window is counted
     by inertia, then exactly that many pairs are computed
-    (count_window(pencil, lam_hi).solve())."""
-    return count_window(pencil, lam_hi).solve()
+    (count_window(pencil, lam_hi).solve()).  A window already counted on
+    this pencil up to lam_hi is passed as `window` and not counted again."""
+    if window is None:
+        window = count_window(pencil, lam_hi)
+    elif window.pencil is not pencil or window.lam_hi != lam_hi:
+        raise ValueError("window was counted on another pencil or up to another lam_hi")
+    return window.solve()
 
 
 @contextmanager

@@ -21,9 +21,25 @@ __all__ = [
     "CrossSectionMesh",
     "MeshConsistencyError",
     "build_structured",
+    "check_cavity_size",
     "classify_boundary",
     "locate_point",
+    "SIZE_RANGE",
 ]
+
+# The cavity sizes R and L the library accepts.  Inside the range the
+# squared frequencies (j / R)^2 and the element tables stay finite, nonzero
+# doubles; outside it they overflow or underflow: at R = L = 1e200 every
+# pillbox eigenvalue is 0, at 1e-200 every one overflows, and the element
+# pair overflows from 1e155 and divides by zero at 1e-200.
+SIZE_RANGE = (1e-100, 1e100)
+
+
+def check_cavity_size(R: float, L: float) -> None:
+    """ValueError unless both R and L lie in SIZE_RANGE."""
+    lo, hi = SIZE_RANGE
+    if not (lo <= R <= hi and lo <= L <= hi):
+        raise ValueError(f"cavity dimensions must lie in [{lo:g}, {hi:g}], got R={R}, L={L}")
 
 
 class BoundaryTag(Enum):
@@ -103,8 +119,7 @@ def build_structured(R: float, L: float, N: int) -> CrossSectionMesh:
     N_z is chosen so the cell aspect ratio is as close to 1 as possible.
     The diagonal runs from the lower-left to the upper-right cell corner.
     """
-    if not (R > 0 and L > 0):
-        raise ValueError(f"cavity dimensions must be positive, got R={R}, L={L}")
+    check_cavity_size(R, L)
     if not (isinstance(N, (int, np.integer)) and N >= 1):
         raise ValueError(f"subdivision count must be a positive integer, got N={N}")
 

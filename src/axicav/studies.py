@@ -40,7 +40,7 @@ from .formulation import (
     polynomial_threshold_degree,
     validate_tc,
 )
-from .mesh import build_structured
+from .mesh import build_structured, check_cavity_size
 from .quadrature import rule_for_degree
 
 __all__ = [
@@ -292,6 +292,10 @@ def build_study_config(entries: dict) -> StudyConfig:
     R, L = getf("R", 1.0), getf("L", 1.0)
     if not (math.isfinite(R) and math.isfinite(L)):
         raise ConfigError(f"R and L must be finite, got R={R}, L={L}")
+    try:
+        check_cavity_size(R, L)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     cfg = StudyConfig(
         study=study,
@@ -555,7 +559,7 @@ def _spurious_count(pencil, window, lam_cut: float) -> int:
     """
     win = count_window(pencil, lam_cut)
     if win.count <= len(window):
-        spec = solve_window(pencil, lam_cut)
+        spec = solve_window(pencil, lam_cut, win)
         tol = estimate_match_tol(spec.eigenvalues, window)
         return match_spectra(spec.eigenvalues, window, tol).spurious_count
     near = np.concatenate([win.nearest(omega**2) for omega, _ in group_modes(window)])

@@ -41,6 +41,18 @@ def test_spurious_with_an_infinite_radius_is_config_error(tmp_path, capsys):
     assert "R and L must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["1e200", "1e-200"])
+def test_converge_outside_the_size_range_is_config_error(tmp_path, capsys, size):
+    # R = L = 1e200 hung in the analytic listing, 1e-200 overflowed
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "study = converge\ntransforms = TB\nn = 1\nq = 3\np = 2\ntarget = TE,1,1,1\n"
+        f"R = {size}\nL = {size}\noutput = {tmp_path / 'out.csv'}\n"
+    )
+    assert main(["converge", "--config", str(cfg)]) == 2
+    assert "must lie in [1e-100, 1e+100]" in capsys.readouterr().err
+
+
 def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["converge", "--config", str(tmp_path / "nope.cfg")]) == 2
 

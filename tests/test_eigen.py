@@ -448,6 +448,19 @@ def test_window_count_finds_the_neighbours_of_a_crowded_point():
         assert win.below(s) == np.searchsorted(window, s)
 
 
+def test_solve_window_takes_a_counted_window(monkeypatch):
+    import axicav.eigen as eigen_mod
+
+    pen = _diagonal_pencil(np.linspace(1.0, 10.0, 80))
+    win = eigen_mod.count_window(pen, 8.0)
+    monkeypatch.setattr(eigen_mod, "count_window", None)  # the window is not counted again
+    spec = solve_window(pen, 8.0, win)
+    assert np.allclose(spec.eigenvalues, np.linspace(1.0, 10.0, 80)[:win.count], rtol=1e-12)
+    for other in ((pen, 7.0), (_diagonal_pencil(np.linspace(1.0, 10.0, 80)), 8.0)):
+        with pytest.raises(ValueError, match="another pencil or up to another lam_hi"):
+            solve_window(*other, win)
+
+
 def test_window_count_errors_name_the_window_and_the_shift(monkeypatch):
     import axicav.eigen as eigen_mod
 

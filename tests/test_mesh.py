@@ -37,6 +37,27 @@ def test_invalid_parameters(bad):
         build_structured(*bad)
 
 
+def test_cavity_sizes_inside_the_size_range_only():
+    from axicav.analytic import pillbox_spectrum
+    from axicav.fespace import build_pair
+    from axicav.mesh import SIZE_RANGE
+
+    for size in SIZE_RANGE:
+        # element pair and listing stay finite at both ends of the range
+        build_pair(build_structured(size, size, 2), 3, 2)
+        modes = pillbox_spectrum(size, size, 1, 30.0 / size**2)
+        assert modes and all(0.0 < md.omega < np.inf for md in modes)
+    for size in (1e200, 1e-200, 1e101, 0.99e-100):
+        with pytest.raises(ValueError, match="must lie in"):
+            build_structured(size, 1.0, 2)
+        with pytest.raises(ValueError, match="must lie in"):
+            build_structured(1.0, size, 2)
+    # at 1e200 every eigenvalue, lam_max too, underflows to 0
+    for size, lam_max in ((1e200, 0.0), (1e-200, 30.0)):
+        with pytest.raises(ValueError, match="must lie in"):
+            pillbox_spectrum(size, size, 1, lam_max)
+
+
 def test_refinement_nesting():
     m = build_structured(1.0, 1.0, 3)
     m2 = build_structured(1.0, 1.0, 2 * m.N)

@@ -615,11 +615,145 @@ def test_study_calls_keep_no_state_between_cavities():
 
 @pytest.mark.parametrize("study", sorted(_RUNNERS))
 def test_cavity_past_the_listing_cap_is_config_error(study):
-    # R / L = 1e300 lists no analytic mode: a ConfigError before any mesh
+    # R / L = 1e60 lists no analytic mode: a ConfigError before any mesh
+    # (R = 1e300 lies outside the size range, which build_study_config checks)
     entries = {"study": study, "transforms": "TC(1,1)", "n": "1", "q": "3", "p": "2",
                "target": "TE,1,1,1", "mesh_ladder": "2,4", "quad_degrees": "9,15",
-               "R": "1e300"}
+               "R": "1e60"}
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="past the listing cap"):
+        _RUNNERS[study](build_study_config(entries))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_target_solves_count_what_inertia_counts(monkeypatch):
+    # Every shift-invert target solve returns, below hi, exactly the smaller
+    # of the a + 1 pairs it asks for and the inertia count in (lo, hi): at
+    # the Lanczos tolerance no eigenvalue of the interval is skipped and no
+    # pair is one that lies elsewhere.
+    from axicav.eigen import _factorize, _inertia
+
+    solved = []
+    real_solve = studies.solve
+
+    def recording_solve(pencil, k, hint):
+        spec = real_solve(pencil, k, hint)
+        if spec.method == "shift-invert":
+            solved.append((pencil, k, spec.eigenvalues))
+        return spec
+
+    monkeypatch.setattr(studies, "solve", recording_solve)
+    grid = itertools.product(("TA", "TB", "TD", "TC(1,1)", "TC(1,2)", "TC(0.5,1)"), (0, 1, 2),
+                             ((2, 1), (3, 2), (2, 2)), ("2,4", "3,6"),
+                             ("TE,{n},1,1", "TM,{n},1,0", "TM,{n},1,1", "TE,{n},2,1"))
+    checked = 0
+    for transform, n, (q, p), ladder, target in grid:
+        entries = {"study": "converge", "transforms": transform, "n": str(n), "q": str(q),
+                   "p": str(p), "mesh_ladder": ladder, "target": target.format(n=n)}
+        solved.clear()
+        try:
+            cfg = build_study_config(entries)
+            lo, hi, a = studies._target_interval(cfg)
+            studies.run_convergence(cfg)
+        except (ConfigError, TargetNotMatchedError):
+            pass
+        for pencil, k, vals in solved:
+            assert k == a + 1
+            inside = _inertia(_factorize(pencil, hi)) - _inertia(_factorize(pencil, lo))
+            assert np.count_nonzero(vals < hi) == min(k, inside), (entries, vals, inside)
+            checked += 1
+    assert checked >= 140
+
+
+class _CountingFactor:
+    """A factor whose solves are counted: one per shift-invert operator
+    application."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+def test_quadsweep_target_solves_stop_at_the_lanczos_tolerance(monkeypatch):
+    # The TA and TC(1,2) pencils of quadsweep_axis at N = 32 (seed 1,
+    # cavity 0): the target solves agree with Lanczos run to machine
+    # precision, and the TA solve makes at most 21 operator applications
+    # (38 when ARPACK stops at machine precision).  The start vector is
+    # fixed, so the count is deterministic.
+    import axicav.eigen as eigen_mod
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    from axicav.assembly import assemble
+    from axicav.fespace import build_pair
+    from axicav.mesh import build_structured
+
+    factors = []
+    real_factorize = eigen_mod._factorize
+
+    def counting_factorize(pencil, sigma):
+        factors.append(_CountingFactor(real_factorize(pencil, sigma)))
+        return factors[-1]
+
+    monkeypatch.setattr(eigen_mod, "_factorize", counting_factorize)
+    cfg = _bench_config("quadsweep_axis", 0)
+    lo, hi, a = studies._target_interval(cfg)
+    mesh = build_structured(cfg.R, cfg.L, 32)
+    pair = build_pair(mesh, *cfg.orders())
+    for tr in cfg.transforms:
+        pencil = assemble(studies._problem(cfg, tr, mesh, cfg.quad_degrees[-1]), pair)
+        factors.clear()
+        spec = eigen_mod.solve(pencil, a + 1, 2.0 * lo)
+        assert spec.method == "shift-invert" and len(factors) == 1
+        if tr.kind == "TA":
+            assert factors[0].solves <= 21
+        assert spec.residuals.max() <= 1e-10
+        # reference: ARPACK's default tolerance (machine precision), another start vector
+        sigma = lo * 1.0000037
+        lu = real_factorize(pencil, sigma)
+        n = pencil.n_free
+        _, vecs = eigsh(pencil.K, k=a + 1, M=pencil.M, sigma=sigma, which="LA", tol=0,
+                        v0=np.random.default_rng(7).standard_normal(n),
+                        OPinv=LinearOperator((n, n), matvec=lu.solve, dtype=float))
+        ref = np.sort(np.einsum("ij,ij->j", vecs, pencil.K @ vecs)
+                      / np.einsum("ij,ij->j", vecs, pencil.M @ vecs))
+        assert np.allclose(spec.eigenvalues, ref, rtol=1e-13, atol=0.0), (tr.label(), spec.eigenvalues, ref)
+
+
+def test_solved_spurious_windows_are_factored_once_per_shift(monkeypatch):
+    # spectrum_dense, seed 1, cavity 0: a solved window reuses its count, so
+    # no (pencil, shift) pair is factored twice; before, each of the three
+    # solved TB windows factored K - lam_cut M twice (54 factorizations).
+    import axicav.eigen as eigen_mod
+
+    shifts, pencils = [], []
+    real_factorize = eigen_mod._factorize
+
+    def recording_factorize(pencil, sigma):
+        pencils.append(pencil)  # keeps every pencil alive, so ids stay unique
+        shifts.append((id(pencil), sigma))
+        return real_factorize(pencil, sigma)
+
+    monkeypatch.setattr(eigen_mod, "_factorize", recording_factorize)
+    cfg = _bench_config("spectrum_dense", 0)
+    studies.run_spurious_scan(cfg)
+    assert len(shifts) == len(set(shifts)) == 51
+
+
+@pytest.mark.parametrize("R,L", [("1e200", "1e200"), ("1e-200", "1e-200"), ("1e300", "1")])
+@pytest.mark.parametrize("study", sorted(_RUNNERS))
+def test_cavity_outside_the_size_range_is_config_error(study, R, L):
+    # At R = L = 1e200 every pillbox eigenvalue underflows to 0 and the
+    # listing never ended; at 1e-200 the target eigenvalue overflowed.
+    entries = {"study": study, "transforms": "TC(1,1)", "n": "1", "q": "3", "p": "2",
+               "target": "TE,1,1,1", "mesh_ladder": "2,4", "quad_degrees": "9,15",
+               "R": R, "L": L}
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"must lie in \[1e-100, 1e\+100\]"):
         _RUNNERS[study](build_study_config(entries))
     assert time.perf_counter() - start < 1.0
