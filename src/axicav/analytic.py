@@ -110,20 +110,20 @@ def pillbox_spectrum(R: float, L: float, n: int, lam_max: float,
                      families=("TM", "TE")) -> list:
     """All modes with azimuthal index |n| and omega^2 <= lam_max, sorted.
 
-    Raises ValueError past MODE_CAP estimated modes per family, and for
-    sizes outside mesh.SIZE_RANGE, where the eigenvalues underflow or
-    overflow."""
+    Raises ValueError for sizes outside mesh.SIZE_RANGE, where the
+    eigenvalues underflow or overflow, and then past MODE_CAP estimated
+    modes per family."""
     if not all(math.isfinite(x) for x in (R, L, lam_max)):
         raise ValueError(f"R, L and lam_max must be finite, got {R}, {L}, {lam_max}")
     if R <= 0 or L <= 0:
         raise ValueError("R and L must be positive")
+    check_cavity_size(R, L)
     k_max = math.sqrt(max(lam_max, 0.0))
     estimate = (R * k_max / math.pi + 1) * (L * k_max / math.pi + 1)
     if estimate > MODE_CAP:
         raise ValueError(
             f"R={R:g}, L={L:g} and lam_max={lam_max:g} give about {estimate:.3g} modes "
             f"per family, past the listing cap of {MODE_CAP}")
-    check_cavity_size(R, L)
     m = abs(int(n))
     modes = []
     for family in families:
@@ -226,6 +226,11 @@ def estimate_match_tol(computed_lams, analytic_modes) -> float:
     genuinely missing mode cannot balloon the tolerance; the tolerance is
     MATCH_TOL_FACTOR times that estimate, at least MATCH_TOL_FLOOR, and
     MATCH_TOL_CAP for an empty computed spectrum.
+
+    The tolerance never exceeds MATCH_TOL_CAP, and computed values farther
+    than MATCH_TOL_CAP / MATCH_TOL_FACTOR from every mode never change it:
+    the spurious scan relies on both to solve only the part of a flooded
+    window above (omega_1 (1 - MATCH_TOL_CAP))^2.
     """
     computed = np.sqrt(np.asarray(computed_lams, dtype=float))
     if computed.size == 0:

@@ -17,8 +17,10 @@ from one eigh or from one shift-invert Lanczos call at the window's
 midpoint sigma for the count largest |theta| under theta = 1/(lambda -
 sigma), on P (K - sigma M)^-1 with P the M-orthogonal projector off range
 Z, so the degenerate kernel cluster is not in the Krylov space at all.  A
-window flooded with spurious eigenvalues need not be solved: more inertia
-counts and the eigenvalues nearest a few points describe it.  The k-lowest
+window flooded with spurious eigenvalues need not be solved whole: its part
+(lo, lam_hi] above a point is a window of its own (WindowCount.above, one
+more factorization), and more inertia counts and the eigenvalues nearest a
+few points describe the rest without solving it.  The k-lowest
 solve takes the k lowest eigenvalues above half the analytic hint: a slice
 of one eigh, or the largest algebraic thetas at sigma = hint / 2, the modes
 above sigma; the kernel (theta = -1/sigma) never competes.  One rule
@@ -298,7 +300,9 @@ def solve_window(pencil, lam_hi: float, window: WindowCount | None = None) -> Sp
     """All non-kernel eigenpairs with lambda <= lam_hi: the window is counted
     by inertia, then exactly that many pairs are computed
     (count_window(pencil, lam_hi).solve()).  A window already counted on
-    this pencil up to lam_hi is passed as `window` and not counted again."""
+    this pencil up to lam_hi, whole or its part above some lo
+    (WindowCount.above), is passed as `window`, not counted again, and
+    solved."""
     if window is None:
         window = count_window(pencil, lam_hi)
     elif window.pencil is not pencil or window.lam_hi != lam_hi:
@@ -317,20 +321,25 @@ def _named(where: str):
 
 @dataclass
 class WindowCount:
-    """The eigenvalues of a pencil in the window (tau, lam_hi], counted by
-    inertia (count_window): further counts and the eigenvalues nearest a
-    point take a few shift-invert pairs, and solve() computes them all."""
+    """The eigenvalues of a pencil in the window (lo, lam_hi], counted by
+    inertia (count_window: lo = tau, the kernel's threshold): further
+    counts and the part above a point (above) take one factorization each,
+    the eigenvalues nearest a point a few shift-invert pairs, and solve()
+    computes them all."""
 
     pencil: object = field(repr=False)
     lam_hi: float
     kernel_count: int
     tau: float
     count: int
+    lo: float
+    # non-kernel eigenvalues in (tau, lo), below the window
+    skipped: int = 0
     # (lo, hi, n): no window eigenvalue lies in (lo, hi), n lie below it
     gaps: list = field(default_factory=list, repr=False)
 
     def _where(self) -> str:
-        return f"window ({self.tau:.6g}, {self.lam_hi:.6g}]"
+        return f"window ({self.lo:.6g}, {self.lam_hi:.6g}]"
 
     @cached_property
     def _project(self):
@@ -338,7 +347,7 @@ class WindowCount:
         return _kernel_projector(self.pencil)
 
     def below(self, s: float) -> int:
-        """Number of window eigenvalues below s, tau < s <= lam_hi: one
+        """Number of window eigenvalues below s, lo < s <= lam_hi: one
         factorization, none when s lies in a gap that nearest found."""
         if s == self.lam_hi:
             return self.count
@@ -346,10 +355,20 @@ class WindowCount:
             if lo < s <= hi:
                 return n
         with _named(f"{self._where()}, count below {s:.6g}"):
-            return _inertia(_factorize(self.pencil, s)) - self.kernel_count
+            return _inertia(_factorize(self.pencil, s)) - self.kernel_count - self.skipped
+
+    def above(self, lo: float) -> WindowCount:
+        """The window's part (lo, lam_hi], self.lo < lo < lam_hi: the same
+        pencil and kernel, and count less the eigenvalues below lo (one
+        factorization, below)."""
+        if not self.lo < lo < self.lam_hi:
+            raise ValueError(f"{self._where()} does not hold the lower end {lo:.6g}")
+        n = self.below(lo)
+        return WindowCount(self.pencil, self.lam_hi, self.kernel_count, self.tau,
+                           self.count - n, lo, self.skipped + n)
 
     def nearest(self, lam: float) -> np.ndarray:
-        """Window eigenvalues around lam, tau < lam < lam_hi: a set that holds
+        """Window eigenvalues around lam, lo < lam < lam_hi: a set that holds
         the nearest one on each side of lam, from one factorization at
         sigma = lam (1 + 3.7e-6).
 
@@ -364,7 +383,7 @@ class WindowCount:
         sigma = lam * 1.0000037
         with _named(f"{self._where()}, omega={np.sqrt(lam):.6g}, sigma={sigma:.6g}"):
             lu = _factorize(self.pencil, sigma)
-            n_below = _inertia(lu) - self.kernel_count
+            n_below = _inertia(lu) - self.kernel_count - self.skipped
             if 0 < n_below < self.count:
                 vals = self._pairs(lu, 2, sigma, "BE").eigenvalues
             else:
@@ -374,29 +393,30 @@ class WindowCount:
             while k < n_below and below[0] >= lam:
                 k = min(2 * k, n_below)
                 below = self._pairs(lu, k, sigma, "SA").eigenvalues
-        lo = below[-1] if below.size else self.tau
+        lo = below[-1] if below.size else self.lo
         self.gaps.append((lo, above[0] if above.size else self.lam_hi, n_below))
         return np.concatenate([below, above])
 
     def solve(self) -> Spectrum:
         """The count eigenpairs of the window, ascending: kept above the
-        kernel from one eigh when dense storage pays (_dense_pays), else from
-        one shift-invert Lanczos call at the window's midpoint ("LM", the
-        kernel projected out).  A pair outside the window is an
-        EigenSolverError; an empty window computes nothing."""
+        kernel and the skipped eigenvalues from one eigh when dense storage
+        pays (_dense_pays), else from one shift-invert Lanczos call at the
+        window's midpoint ("LM", the kernel projected out).  A pair outside
+        the window is an EigenSolverError; an empty window computes
+        nothing."""
         pencil, count = self.pencil, self.count
         if count <= 0:
             empty = np.empty(0)
             return Spectrum(empty, np.empty((pencil.n_free, 0)), self.kernel_count, self.tau,
                             empty, "dense" if _dense_pays(pencil, 0) else "shift-invert")
         if not _dense_pays(pencil, count):
-            sigma = 0.5 * (self.tau + self.lam_hi) * 1.0000037
+            sigma = 0.5 * (self.lo + self.lam_hi) * 1.0000037
             with _named(f"{self._where()}, sigma={sigma:.6g}"):
                 return self._pairs(_factorize(pencil, sigma), count, sigma, "LM")
         vals, vecs = _eigh(pencil)
-        keep = slice(self.kernel_count, self.kernel_count + count)
-        vals, vecs = vals[keep], vecs[:, keep].copy()
-        if vals[0] <= self.tau or vals[-1] > self.lam_hi:
+        first = self.kernel_count + self.skipped
+        vals, vecs = vals[first:first + count], vecs[:, first:first + count].copy()
+        if vals[0] <= self.lo or vals[-1] > self.lam_hi:
             raise EigenSolverError(
                 f"{self._where()} holds {count} eigenvalues, but dense returned "
                 f"[{vals[0]:.6g}, {vals[-1]:.6g}]"
@@ -412,7 +432,7 @@ class WindowCount:
         where = f"shift-invert ({which}, k={k}, ncv={ncv})"
         n_lo = {"SA": k, "LA": 0, "BE": 1}.get(which)
         if ((n_lo is not None and np.count_nonzero(vals < sigma) != n_lo)
-                or vals[0] <= self.tau or vals[-1] > self.lam_hi):
+                or vals[0] <= self.lo or vals[-1] > self.lam_hi):
             raise EigenSolverError(f"{where} returned {np.array2string(vals, precision=6)}")
         return _spectrum(self.pencil, vals, vecs, self.kernel_count, self.tau, where, lu)
 
@@ -420,9 +440,10 @@ class WindowCount:
 def count_window(pencil, lam_hi: float) -> WindowCount:
     """The window (tau, lam_hi] of non-kernel eigenvalues, counted by inertia:
     count = #below(lam_hi) - kernel_count.  No eigenpair is computed; the
-    result answers further counts (WindowCount.below), finds the window
-    eigenvalues nearest a point (WindowCount.nearest) or solves it."""
+    result answers further counts (WindowCount.below), cuts the window at
+    a lower end (WindowCount.above), finds the window eigenvalues nearest
+    a point (WindowCount.nearest) or solves it."""
     with _named(f"window up to {lam_hi:.6g}"):
         kernel_count, tau = _kernel(pencil, lam_hi)
         count = _inertia(_factorize(pencil, lam_hi)) - kernel_count
-    return WindowCount(pencil, lam_hi, kernel_count, tau, count)
+    return WindowCount(pencil, lam_hi, kernel_count, tau, count, tau)

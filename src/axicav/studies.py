@@ -21,6 +21,7 @@ import numpy as np
 
 from .analytic import (
     GROUP_RTOL,
+    MATCH_TOL_CAP,
     bessel_prime_zero,
     bessel_zero,
     count_spurious,
@@ -394,13 +395,18 @@ def _row(cfg: StudyConfig, problem: ModeProblem, pencil, **values) -> StudyRow:
     )
 
 
-def _listing(R: float, L: float, n: int, lam_max: float, families=("TM", "TE")) -> list:
-    """pillbox_spectrum, where a cavity too large for the listing cap
-    (analytic.MODE_CAP) is a ConfigError."""
-    try:
-        return pillbox_spectrum(R, L, n, lam_max, families)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _listing(R: float, L: float, n: int, lam_max: float, enough, families=("TM", "TE")) -> list:
+    """pillbox_spectrum up to lam_max, doubled until enough(modes) holds;
+    a cavity too large for the listing cap (analytic.MODE_CAP) is a
+    ConfigError."""
+    while True:
+        try:
+            modes = pillbox_spectrum(R, L, n, lam_max, families)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if enough(modes):
+            return modes
+        lam_max *= 2
 
 
 def _target_interval(cfg: StudyConfig) -> tuple:
@@ -411,14 +417,11 @@ def _target_interval(cfg: StudyConfig) -> tuple:
     modes in (lo, hi) with multiplicity.  Midpoints are taken in lambda."""
     families = {"full": ("TM", "TE"), "azimuthal": ("TE",), "inplane": ("TM",)}[_block_for(cfg)]
     lam_t = cfg.target.lam(cfg.R, cfg.L)
-    lam_max = 2.0 * lam_t
-    while True:
-        modes = _listing(cfg.R, cfg.L, cfg.n, lam_max, families)
-        above = [md.lam for md in modes if md.omega > math.sqrt(lam_t) * (1 + GROUP_RTOL)]
-        if above:
-            break
-        lam_max *= 2
+    omega_hi = math.sqrt(lam_t) * (1 + GROUP_RTOL)
+    modes = _listing(cfg.R, cfg.L, cfg.n, 2.0 * lam_t,
+                     lambda modes: modes and modes[-1].omega > omega_hi, families)
     lams = [md.lam for md in modes]
+    above = [md.lam for md in modes if md.omega > omega_hi]
     under = [lam for lam in lams if lam <= 0.5 * lam_t]
     lo = 0.5 * (under[-1] + lams[len(under)]) if under else 0.5 * lam_t
     hi = 0.5 * (lam_t + above[0])
@@ -516,24 +519,28 @@ def run_quadrature_sweep(cfg: StudyConfig):
     return rows, stable, omegas
 
 
+# A window with more eigenvalues than SOLVED_PER_GROUP per analytic group is
+# solved only above lam_lo, and not at all when its top holds more: there,
+# the nearest pairs and inertia counts cost less than a solve.  On the unit
+# pillbox the two paths break even at 11 to 25 top eigenvalues per group.
+SOLVED_PER_GROUP = 8
+
+
 def _first_modes(R: float, L: float, n: int, count: int):
     """At least `count` lowest analytic modes of the n-th block."""
-    lam_max = (math.pi / min(R, L)) ** 2 * 4
-    modes = _listing(R, L, n, lam_max)
-    while len(modes) < count:
-        lam_max *= 2
-        modes = _listing(R, L, n, lam_max)
-    return modes
+    return _listing(R, L, n, (math.pi / min(R, L)) ** 2 * 4, lambda modes: len(modes) >= count)
 
 
 def run_spurious_scan(cfg: StudyConfig):
     """Spurious-mode counts against the first `modes` analytic frequencies.
 
     Each window ends midway between analytic modes `modes` and `modes` + 1.
-    A window that holds no more eigenvalues than analytic modes is solved
-    and matched; a flooded one (TD at |n| > 1, q = p) is counted by inertia
-    with the same result, and none of its eigenpairs but the few nearest
-    the analytic frequencies is computed.
+    A window that holds at most SOLVED_PER_GROUP eigenvalues per analytic
+    group is solved and matched.  A flooded one (TD at |n| > 1, q = p) is
+    counted by inertia up to just under the lowest tolerance band, and only
+    its top is solved and matched, or, when the top is flooded too, counted
+    with none of its eigenpairs but the few nearest the analytic
+    frequencies computed.  Every path gives the solved window's count.
     """
     rows, counts = [], {}
     modes_all = _first_modes(cfg.R, cfg.L, cfg.n, cfg.modes + 1)
@@ -551,18 +558,27 @@ def run_spurious_scan(cfg: StudyConfig):
 
 
 def _spurious_count(pencil, window, lam_cut: float) -> int:
-    """Spurious eigenvalues of the pencil in the window up to lam_cut.
+    """Spurious eigenvalues of the pencil in the window up to lam_cut: the
+    greedy match of the solved window, from the fewest eigenpairs.
 
-    In a flooded window the eigenvalues nearest each analytic frequency hold
+    No tolerance band reaches below lam_lo = (omega_1 (1 - MATCH_TOL_CAP))^2,
+    so every eigenvalue there is spurious, takes no group's capacity and,
+    lying over MATCH_TOL_CAP / MATCH_TOL_FACTOR from every mode, leaves
+    estimate_match_tol's tolerance as it is: a window too full to solve
+    whole is counted below lam_lo and solved above it.  When that top is
+    still too full, the eigenvalues nearest each analytic frequency hold
     each mode's nearest one, so they give estimate_match_tol's tolerance
-    exactly; count_spurious then matches inertia counts.
+    exactly, and count_spurious matches inertia counts.
     """
+    groups = group_modes(window)
+    limit = SOLVED_PER_GROUP * len(groups)
     win = count_window(pencil, lam_cut)
-    if win.count <= len(window):
-        spec = solve_window(pencil, lam_cut, win)
-        tol = estimate_match_tol(spec.eigenvalues, window)
-        return match_spectra(spec.eigenvalues, window, tol).spurious_count
-    near = np.concatenate([win.nearest(omega**2) for omega, _ in group_modes(window)])
+    solved = win if win.count <= limit else win.above((groups[0][0] * (1 - MATCH_TOL_CAP)) ** 2)
+    if solved.count <= limit:
+        top = solve_window(pencil, lam_cut, solved).eigenvalues
+        tol = estimate_match_tol(top, window)
+        return win.count - solved.count + match_spectra(top, window, tol).spurious_count
+    near = np.concatenate([win.nearest(omega**2) for omega, _ in groups])
     tol = estimate_match_tol(near, window)
     return count_spurious(win.below, win.tau, lam_cut, window, tol)
 

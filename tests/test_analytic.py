@@ -117,11 +117,14 @@ def test_pillbox_rejects_non_finite_sizes(R, L, lam_max):
 
 
 def test_pillbox_refuses_a_listing_past_the_mode_cap():
-    # R = 1e300 would put every Bessel zero up to 1e300 sqrt(30) below lam_max
+    # R = 1e60 would put every Bessel zero up to 1e60 sqrt(30) below lam_max
     start = time.perf_counter()
     with pytest.raises(ValueError, match="past the listing cap"):
-        pillbox_spectrum(1e300, 1.0, 1, 30.0)
+        pillbox_spectrum(1e60, 1.0, 1, 30.0)
     assert time.perf_counter() - start < 1.0
+    # outside the size range the range is reported, not the cap estimate
+    with pytest.raises(ValueError, match=r"must lie in \[1e-100, 1e\+100\]"):
+        pillbox_spectrum(1e300, 1.0, 1, 30.0)
 
 
 @pytest.mark.parametrize("L", [0.01, 1.0, 30.0])

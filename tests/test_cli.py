@@ -27,8 +27,10 @@ def test_analytic_non_finite_size_is_config_error(R, lmax, capsys):
 
 
 def test_analytic_past_the_mode_cap_is_config_error(capsys):
-    assert main(["analytic", "--R", "1e300", "--L", "1", "--n", "1", "--lmax", "30"]) == 2
+    assert main(["analytic", "--R", "1e60", "--L", "1", "--n", "1", "--lmax", "30"]) == 2
     assert "past the listing cap" in capsys.readouterr().err
+    assert main(["analytic", "--R", "1e300", "--L", "1", "--n", "1", "--lmax", "30"]) == 2
+    assert "must lie in [1e-100, 1e+100]" in capsys.readouterr().err
 
 
 def test_spurious_with_an_infinite_radius_is_config_error(tmp_path, capsys):

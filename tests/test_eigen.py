@@ -474,3 +474,36 @@ def test_window_count_errors_name_the_window_and_the_shift(monkeypatch):
     monkeypatch.setattr(eigen_mod, "_eigsh_guarded", wrong_side)
     with pytest.raises(EigenSolverError, match=r"window \(8e-08, 8\], omega=2, sigma=4\.00001"):
         win.nearest(4.0)
+
+
+@pytest.mark.parametrize("path", ["dense", "shift-invert"])
+def test_window_part_above_a_point_is_counted_and_solved_alone(monkeypatch, path):
+    import axicav.eigen as eigen_mod
+
+    if path == "shift-invert":
+        monkeypatch.setattr(eigen_mod, "DENSE_DIM", 10)
+    vals = np.concatenate([np.zeros(5), np.linspace(1.0, 10.0, 80)])
+    pen = _diagonal_pencil(vals)
+    win = eigen_mod.count_window(pen, 8.0)
+    top = win.above(6.0)
+    inside = vals[(vals > 6.0) & (vals <= 8.0)]
+    assert (top.count, top.kernel_count, top.tau) == (len(inside), 5, win.tau)
+    assert top.below(7.0) == np.count_nonzero(inside < 7.0)
+    spec = solve_window(pen, 8.0, top)
+    assert spec.method == path
+    assert np.allclose(spec.eigenvalues, inside, rtol=1e-12, atol=0.0)
+    assert (spec.kernel_count, spec.kernel_threshold) == (5, win.tau)
+    for lo in (win.tau, 8.0, 9.0):
+        with pytest.raises(ValueError, match="does not hold the lower end"):
+            win.above(lo)
+    if path == "shift-invert":
+        # a Lanczos pair at or below the lower end is refused
+        real = eigen_mod._eigsh_guarded
+
+        def shifted_down(pencil, lu, k, sigma, which, project=None):
+            vals, vecs, ncv = real(pencil, lu, k, sigma, which, project)
+            return vals - 0.5, vecs, ncv
+
+        monkeypatch.setattr(eigen_mod, "_eigsh_guarded", shifted_down)
+        with pytest.raises(EigenSolverError, match=r"window \(6, 8\], sigma=7\.00003"):
+            top.solve()

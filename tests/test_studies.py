@@ -329,7 +329,7 @@ def test_run_spurious_scan_small():
 _FLOODED = [
     ("TB", 1, 2, 2, 7, 4, 61), ("TB", 1, 2, 2, 7, 8, 265),
     ("TD", 2, 2, 1, 12, 4, 37), ("TD", 2, 2, 1, 12, 8, 165),
-    ("TD", 2, 3, 2, 12, 4, 65), ("TD", 2, 3, 2, 12, 8, 281),
+    ("TD", 2, 3, 2, 12, 4, 65), ("TD", 2, 3, 2, 12, 8, 281), ("TD", 2, 3, 2, 12, 12, 638),
 ]
 
 
@@ -337,7 +337,8 @@ _FLOODED = [
 def test_flooded_window_count_equals_the_solved_match(kind, n, q, p, D, N, spurious,
                                                       monkeypatch):
     from axicav import eigen
-    from axicav.analytic import estimate_match_tol, match_spectra, pillbox_spectrum
+    from axicav.analytic import (MATCH_TOL_CAP, estimate_match_tol, group_modes,
+                                 match_spectra, pillbox_spectrum)
     from axicav.assembly import assemble
     from axicav.fespace import build_pair
     from axicav.formulation import ModeProblem
@@ -353,14 +354,27 @@ def test_flooded_window_count_equals_the_solved_match(kind, n, q, p, D, N, spuri
     tol = estimate_match_tol(spec.eigenvalues, window)
     solved = match_spectra(spec.eigenvalues, window, tol).spurious_count
 
-    calls = Counter()
-    for module, name in ((eigen, "_eigh"), (studies, "solve_window")):
+    calls, pairs = Counter(), []
+    for module, name in ((studies, "solve_window"), (eigen.WindowCount, "nearest")):
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            out = _original(*args, **kwargs)
+            if _name == "solve_window":
+                pairs.append(len(out.eigenvalues))
+            return out
         monkeypatch.setattr(module, name, counted)
     assert studies._spurious_count(pencil, window, lam_cut) == solved == spurious
-    assert not calls
+    # the window's top, above every tolerance band's reach, is solved when it
+    # holds at most SOLVED_PER_GROUP eigenvalues per group; only TB N = 8
+    # (70 of them) is counted without a solve
+    groups = group_modes(window)
+    limit = studies.SOLVED_PER_GROUP * len(groups)
+    top = np.count_nonzero(spec.eigenvalues > (groups[0][0] * (1 - MATCH_TOL_CAP)) ** 2)
+    assert (top > limit) == ((kind, N) == ("TB", 8)), (top, limit)
+    if top <= limit:
+        assert calls["solve_window"] == 1 and pairs[0] <= limit and not calls["nearest"]
+    else:
+        assert not calls["solve_window"] and calls["nearest"] == len(groups)
 
 
 def test_spurious_scan_counts_the_benchmark_cavity():
@@ -456,7 +470,8 @@ _TINY_STUDIES = {
                   studies.run_quadrature_sweep),
     "spurious": ({"transforms": "TB", "mesh_ladder": "2,3", "modes": "3"},
                  studies.run_spurious_scan),
-    # TD at n = 2 floods the window: its rows are counted, not solved
+    # TD at n = 2 floods the window, which is still solved: whole, or above
+    # the reach of every tolerance band
     "spurious-flooded": ({"transforms": "TD", "n": "2", "target": "TE,2,1,1",
                           "quad_degree": "12", "mesh_ladder": "2,3", "modes": "3"},
                          studies.run_spurious_scan),
@@ -477,19 +492,18 @@ def test_studies_call_the_layers_through_the_module(study, monkeypatch):
     kind = study.split("-")[0]
     rows = runner(build_study_config(_entries(kind, p="1", **extra)))[0]
     eigen, other = ("solve_window", "solve") if kind == "spurious" else ("solve", "solve_window")
-    solved = 0 if study == "spurious-flooded" else len(rows)
     assert len(rows) > 0
     # one mesh and one pair per N, one assembly per row
     for name in ("build_structured", "build_pair"):
         assert calls[name] == len({row.N for row in rows}), name
     assert calls["assemble"] == len(rows)
-    assert calls[eigen] == solved
+    assert calls[eigen] == len(rows)
     assert calls[other] == 0
     assert calls["rule_for_degree"] >= len(rows)
     assert calls["pillbox_spectrum"] >= 1
     matched = len(rows) if kind == "spurious" else 0
     assert calls["estimate_match_tol"] == matched
-    assert calls["match_spectra"] == (solved if kind == "spurious" else 0)
+    assert calls["match_spectra"] == matched
 
 
 _RUNNERS = {
@@ -550,8 +564,8 @@ def _bench_config(workload: str, index: int):
 
 @pytest.mark.parametrize("workload,meshes,solved,windows", [
     ("quadsweep_axis", 1, 6, {}),
-    # TB's windows are solved; TD's flooded ones are counted
-    ("spectrum_dense", 3, 0, {"TB": 3}),
+    # TB's windows are solved; TD's flooded ones above the tolerance bands' reach
+    ("spectrum_dense", 3, 0, {"TB": 3, "TD": 3}),
 ], ids=["quadsweep_axis", "spectrum_dense"])
 def test_one_mesh_and_pair_per_N_and_one_solve_per_pencil(workload, meshes, solved, windows,
                                                          monkeypatch):
@@ -727,8 +741,10 @@ def test_quadsweep_target_solves_stop_at_the_lanczos_tolerance(monkeypatch):
 
 def test_solved_spurious_windows_are_factored_once_per_shift(monkeypatch):
     # spectrum_dense, seed 1, cavity 0: a solved window reuses its count, so
-    # no (pencil, shift) pair is factored twice; before, each of the three
-    # solved TB windows factored K - lam_cut M twice (54 factorizations).
+    # no (pencil, shift) pair is factored twice.  Each TB window factors at
+    # lam_cut and at its midpoint; each flooded TD window at its kernel
+    # threshold, at lam_cut, at the lower end of its top and at the top's
+    # midpoint.
     import axicav.eigen as eigen_mod
 
     shifts, pencils = [], []
@@ -742,7 +758,7 @@ def test_solved_spurious_windows_are_factored_once_per_shift(monkeypatch):
     monkeypatch.setattr(eigen_mod, "_factorize", recording_factorize)
     cfg = _bench_config("spectrum_dense", 0)
     studies.run_spurious_scan(cfg)
-    assert len(shifts) == len(set(shifts)) == 51
+    assert len(shifts) == len(set(shifts)) == 18
 
 
 @pytest.mark.parametrize("R,L", [("1e200", "1e200"), ("1e-200", "1e-200"), ("1e300", "1")])
